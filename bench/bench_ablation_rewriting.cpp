@@ -1,11 +1,11 @@
-// Ablation — the three Algorithm-1 substitution backends head to head:
+// Ablation — three readings of Algorithm 1 head to head:
 //
 //  * packed  — cone-local slot remapping + fixed-width bitset monomials in
 //              an open-addressed flat table (anf/packed.hpp, the default);
 //  * indexed — heap monomials in an unordered set with an occurrence-handle
-//              index (the legacy engine, kept as the ablation baseline);
+//              index (the library's other backend);
 //  * naive   — whole-polynomial rescan per gate (the textbook reading of
-//              Algorithm 1).
+//              Algorithm 1), a reference local to this bench.
 //
 // The design decisions under test: (1) the occurrence index makes each
 // substitution O(occurrences x |gate ANF|) where the naive scan is
@@ -15,18 +15,16 @@
 // per-monomial allocation and pointer-chasing the legacy engine pays at
 // exactly the paper's measured hot path, which is the headline speedup.
 //
-// A second, crypto-scale tier pits the packed engine's SIMD kernel layer
-// against its forced-scalar fallback on the NIST binary-field widths
-// (m = 163..571, Mastrovito and Montgomery): same engine, same results by
-// contract, only the kernel table differs.  The shape gate here is the
-// vectorization claim — SIMD >= 1.3x geomean over scalar on the tier.
+// A second, crypto-scale tier times the packed engine on the NIST
+// binary-field widths (m = 163..571, Mastrovito and Montgomery) and checks
+// every extraction against the golden multiplier ANFs.
 //
-// Timings cover extraction only (extract_all_outputs), matching the
-// paper's "runtime" definition; every strategy's ANFs are asserted
-// bit-identical before any number is reported.  Results also land in
-// BENCH_rewriting.json (strategy x family x m -> seconds, peak_terms, and
-// for the crypto tier the SIMD level and peak RSS) for the CI perf-trend
-// artifact; GFRE_BENCH_JSON overrides the path.
+// Timings cover extraction only, matching the paper's "runtime"
+// definition; every reading's ANFs are asserted bit-identical before any
+// number is reported.  Results also land in BENCH_rewriting.json (strategy
+// x family x m -> seconds, peak_terms, and for the crypto tier the host's
+// SIMD level and peak RSS) for the CI perf-trend artifact;
+// GFRE_BENCH_JSON overrides the path.
 #include <algorithm>
 #include <cmath>
 #include <functional>
@@ -37,12 +35,16 @@
 #include "bench_common.hpp"
 #include "bench_json.hpp"
 #include "core/parallel_extract.hpp"
+#include "core/verify.hpp"
 #include "gen/karatsuba.hpp"
 #include "gen/mastrovito.hpp"
 #include "gen/montgomery_gate.hpp"
 #include "gen/shift_add.hpp"
 #include "gf2poly/irreducible.hpp"
+#include "netlist/cell.hpp"
+#include "netlist/ports.hpp"
 #include "util/error.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -54,18 +56,42 @@ struct Family {
   std::function<nl::Netlist(const gf2m::Field&)> generate;
 };
 
+/// The textbook reading of Algorithm 1: every cone gate, in reverse
+/// topological order, substituted by a whole-polynomial rescan.  One output
+/// per pool task, like extract_all_outputs; peak_terms sums each bit's
+/// largest |F| between substitutions.
+core::ExtractionResult naive_extract_all(const nl::Netlist& netlist,
+                                         unsigned threads) {
+  const auto& outputs = netlist.outputs();
+  core::ExtractionResult result;
+  result.anfs.resize(outputs.size());
+  std::vector<std::size_t> peaks(outputs.size(), 0);
+  ThreadPool pool(threads);
+  pool.parallel_for(outputs.size(), [&](std::size_t i) {
+    anf::Anf f = anf::Anf::var(outputs[i]);
+    const auto cone = netlist.fanin_cone(outputs[i]);
+    for (std::size_t g = cone.size(); g-- > 0;) {
+      const nl::Gate& gate = netlist.gate(cone[g]);
+      f.substitute(gate.output, nl::cell_anf(gate.type, gate.inputs));
+      peaks[i] = std::max(peaks[i], f.size());
+    }
+    result.anfs[i] = std::move(f);
+  });
+  for (std::size_t peak : peaks) result.total_peak_terms += peak;
+  return result;
+}
+
 /// Median-of-repeats extraction time: repeat until the total exceeds
-/// ~100 ms (at least 3 runs, capped once a strategy has burned ~2 s so the
+/// ~100 ms (at least 3 runs, capped once a reading has burned ~2 s so the
 /// full-scale naive runs stay bounded) so small widths aren't timer noise.
-double time_extraction(const nl::Netlist& netlist, unsigned threads,
-                       core::RewriteStrategy strategy,
+double time_extraction(const std::function<core::ExtractionResult()>& run,
                        core::ExtractionResult* out) {
   std::vector<double> samples;
   double total = 0.0;
   while (samples.empty() || (samples.size() < 3 && total < 2.0) ||
          (total < 0.1 && samples.size() < 25)) {
     Timer timer;
-    auto result = core::extract_all_outputs(netlist, threads, strategy);
+    auto result = run();
     samples.push_back(timer.seconds());
     total += samples.back();
     if (out != nullptr && samples.size() == 1) *out = std::move(result);
@@ -108,15 +134,20 @@ int main() {
                                   : gf2::default_irreducible(m));
       const auto netlist = family.generate(field);
 
+      const auto backend = [&](core::RewriteStrategy strategy) {
+        return [&netlist, threads, strategy] {
+          return core::extract_all_outputs(netlist, threads, strategy);
+        };
+      };
       core::ExtractionResult packed_result, indexed_result, naive_result;
       const double packed_seconds = time_extraction(
-          netlist, threads, core::RewriteStrategy::Packed, &packed_result);
+          backend(core::RewriteStrategy::Packed), &packed_result);
       const double indexed_seconds = time_extraction(
-          netlist, threads, core::RewriteStrategy::Indexed, &indexed_result);
+          backend(core::RewriteStrategy::Indexed), &indexed_result);
       const double naive_seconds = time_extraction(
-          netlist, threads, core::RewriteStrategy::NaiveScan, &naive_result);
+          [&] { return naive_extract_all(netlist, threads); }, &naive_result);
 
-      // The ablation is only meaningful if the backends agree bit-exactly.
+      // The ablation is only meaningful if the readings agree bit-exactly.
       for (std::size_t i = 0; i < packed_result.anfs.size(); ++i) {
         GFRE_ASSERT(packed_result.anfs[i] == indexed_result.anfs[i] &&
                         packed_result.anfs[i] == naive_result.anfs[i],
@@ -161,34 +192,19 @@ int main() {
   }
   std::printf("\n%s\n", table.render("Rewriting-strategy ablation").c_str());
 
-  // ---- Crypto-scale tier: SIMD kernels vs forced scalar, packed engine ----
+  // ---- Crypto-scale tier: the packed engine at NIST widths ----
   //
-  // NIST binary-field widths, single-threaded so the ratio measures kernel
-  // throughput rather than scheduler behavior.  Scalar and SIMD runs
-  // alternate back-to-back and each side keeps its minimum over the
-  // repetitions — the ratio of minimums is far more stable than the ratio
-  // of single runs on a shared CI box.  Peak RSS is reset before each
-  // config's first run so the recorded figure covers that extraction alone.
-  const simd::Level simd_level = simd::active_level();
+  // Single-threaded, so the time measures the engine rather than scheduler
+  // behavior; each config keeps its minimum over the repetitions, far more
+  // stable than a single run on a shared CI box.  Peak RSS is reset before
+  // each config's first run so the recorded figure covers that extraction
+  // alone.
+  const char* simd_level = simd::to_string(simd::active_level());
   const int tier_reps =
       static_cast<int>(env_long("GFRE_LARGE_M_REPS", 3));
   const std::vector<unsigned> tier_widths{163, 233, 283, 409, 571};
 
-  TextTable tier_table({"family", "m", "#eqns", "scalar(s)",
-                        std::string(simd::to_string(simd_level)) + "(s)",
-                        "speedup", "peak-rss"});
-  std::vector<double> tier_speedups;
-
-  const auto timed_run = [&](const nl::Netlist& netlist, simd::Level level,
-                             core::ExtractionResult* out) {
-    simd::set_level(level);
-    Timer timer;
-    auto result =
-        core::extract_all_outputs(netlist, 1, core::RewriteStrategy::Packed);
-    const double seconds = timer.seconds();
-    if (out != nullptr) *out = std::move(result);
-    return seconds;
-  };
+  TextTable tier_table({"family", "m", "#eqns", "packed(s)", "peak-rss"});
 
   for (const Family& family : families) {
     if (std::string(family.name) != "mastrovito" &&
@@ -200,67 +216,47 @@ int main() {
                                   ? gf2::paper_polynomial(m).p
                                   : gf2::default_irreducible(m));
       const auto netlist = family.generate(field);
+      const auto ports = nl::multiplier_ports(netlist);
+      const auto golden = core::golden_anfs(field, ports);
 
-      core::ExtractionResult scalar_result, simd_result;
-      double scalar_seconds = 1e300;
-      double simd_seconds = 1e300;
+      double seconds = 1e300;
+      std::size_t peak_terms = 0;
       reset_peak_rss();
       std::uint64_t rss = 0;
       for (int rep = 0; rep < tier_reps; ++rep) {
-        scalar_seconds = std::min(
-            scalar_seconds,
-            timed_run(netlist, simd::Level::Scalar,
-                      rep == 0 ? &scalar_result : nullptr));
-        simd_seconds = std::min(
-            simd_seconds, timed_run(netlist, simd_level,
-                                    rep == 0 ? &simd_result : nullptr));
+        Timer timer;
+        const auto result = core::extract_outputs(
+            netlist, ports.z.bits, 1, core::RewriteStrategy::Packed);
+        seconds = std::min(seconds, timer.seconds());
         if (rep == 0) rss = peak_rss_bytes();
+        GFRE_ASSERT(result.anfs == golden,
+                    "packed extraction disagrees with the golden ANFs on "
+                        << family.name << " m=" << m);
+        peak_terms = result.total_peak_terms;
       }
-      simd::set_level(simd_level);
 
-      // The vectorization contract: the kernel level never changes results.
-      GFRE_ASSERT(scalar_result.anfs == simd_result.anfs &&
-                      scalar_result.total_peak_terms ==
-                          simd_result.total_peak_terms,
-                  "scalar and " << simd::to_string(simd_level)
-                                << " kernels disagree on " << family.name
-                                << " m=" << m);
-
-      const double speedup = scalar_seconds / simd_seconds;
-      tier_speedups.push_back(speedup);
       tier_table.add_row({family.name, std::to_string(m),
                           fmt_thousands(netlist.num_equations()),
-                          fmt_double(scalar_seconds, 3),
-                          fmt_double(simd_seconds, 3),
-                          fmt_double(speedup, 2), format_bytes(rss)});
-
-      const struct {
-        const char* level;
-        double seconds;
-        const core::ExtractionResult* result;
-      } tier_rows[] = {{"scalar", scalar_seconds, &scalar_result},
-                       {simd::to_string(simd_level), simd_seconds,
-                        &simd_result}};
-      for (const auto& row : tier_rows) {
-        report.add_record()
-            .add("tier", "crypto")
-            .add("strategy", "packed")
-            .add("simd", row.level)
-            .add("family", family.name)
-            .add("m", m)
-            .add("equations", netlist.num_equations())
-            .add("threads", 1u)
-            .add("seconds", row.seconds)
-            .add("peak_terms", row.result->total_peak_terms)
-            .add("peak_rss_bytes", rss);
-      }
-      std::printf("  done crypto tier %s m=%u (%.2fx)\n", family.name, m,
-                  speedup);
+                          fmt_double(seconds, 3), format_bytes(rss)});
+      report.add_record()
+          .add("tier", "crypto")
+          .add("strategy", "packed")
+          .add("simd", simd_level)
+          .add("family", family.name)
+          .add("m", m)
+          .add("equations", netlist.num_equations())
+          .add("threads", 1u)
+          .add("seconds", seconds)
+          .add("peak_terms", peak_terms)
+          .add("peak_rss_bytes", rss);
+      std::printf("  done crypto tier %s m=%u (%.3f s)\n", family.name, m,
+                  seconds);
       std::fflush(stdout);
     }
   }
   std::printf("\n%s\n",
-              tier_table.render("Crypto-scale tier: SIMD vs scalar kernels")
+              tier_table.render("Crypto-scale tier: packed engine (host " +
+                                std::string(simd_level) + ")")
                   .c_str());
 
   report.write(env_string("GFRE_BENCH_JSON", "BENCH_rewriting.json"));
@@ -276,7 +272,7 @@ int main() {
               "exceeds 1.5x at the top width: %s\n",
               index_shape ? "PASS" : "FAIL");
 
-  // Claim 2 (this PR's headline): the packed cone-local engine beats the
+  // Claim 2: the packed cone-local engine beats the
   // indexed engine by >= 1.5x on the geometric mean across every family at
   // m >= 8 — allocation-free fixed-width monomials at the measured hot
   // path.
@@ -288,24 +284,5 @@ int main() {
               "%.2fx (need >= 1.5x): %s\n",
               geo, packed_shape ? "PASS" : "FAIL");
 
-  // Claim 3 (this PR's headline): the SIMD kernel layer beats the forced
-  // scalar fallback by >= 1.3x geomean across the crypto tier.  Only
-  // meaningful when the host actually has a vector level — on a
-  // scalar-only box the tier still runs (and still checks bit-identity)
-  // but the ratio is scalar-vs-scalar noise, so the gate auto-passes.
-  double tier_geo = 1.0;
-  for (double s : tier_speedups) tier_geo *= s;
-  tier_geo = std::pow(tier_geo, 1.0 / static_cast<double>(tier_speedups.size()));
-  bool tier_shape = true;
-  if (simd_level == simd::Level::Scalar) {
-    std::printf("shape check: crypto tier SIMD gate skipped (no vector level "
-                "on this host): PASS\n");
-  } else {
-    tier_shape = tier_geo >= 1.3;
-    std::printf("shape check: %s vs scalar geomean speedup on the crypto "
-                "tier is %.3fx (need >= 1.3x): %s\n",
-                simd::to_string(simd_level), tier_geo,
-                tier_shape ? "PASS" : "FAIL");
-  }
-  return (index_shape && packed_shape && tier_shape) ? 0 : 1;
+  return (index_shape && packed_shape) ? 0 : 1;
 }

@@ -48,7 +48,7 @@ struct Row {
 };
 
 /// Rewriting backend for the table benches: GFRE_STRATEGY
-/// (packed|indexed|naive) overrides the packed default, so any paper table
+/// (packed|indexed) overrides the packed default, so any paper table
 /// can be regenerated on any backend without a rebuild.
 inline core::RewriteStrategy configured_strategy() {
   const std::string name = env_string("GFRE_STRATEGY", "packed");
@@ -65,7 +65,7 @@ inline void print_header(const std::string& what) {
   std::printf("=== %s ===\n", what.c_str());
   std::printf("threads: %zu (paper: 16 on a 12-core Xeon E5-2420v2)\n",
               configured_threads());
-  std::printf("engine:  %s (set GFRE_STRATEGY=packed|indexed|naive)\n",
+  std::printf("engine:  %s (set GFRE_STRATEGY=packed|indexed)\n",
               core::to_string(configured_strategy()));
   std::printf("scale:   %s (set GFRE_FULL=1 for the paper's full sizes)\n\n",
               full_scale_requested() ? "FULL (paper sizes)" : "scaled");

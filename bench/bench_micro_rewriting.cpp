@@ -41,8 +41,8 @@ const gfre::nl::Netlist& montgomery_netlist(unsigned m) {
 }
 
 // Single-bit backward rewriting per substitution backend.  "SingleBit"
-// (no suffix) is the packed default; the Indexed/Naive variants keep the
-// ablation baselines measurable at micro scale.
+// (no suffix) is the packed default; the Indexed variant keeps the
+// fallback backend measurable at micro scale.
 void BM_RewriteSingleBit(benchmark::State& state) {
   const unsigned m = static_cast<unsigned>(state.range(0));
   const auto& netlist = mastrovito_netlist(m);
@@ -65,19 +65,6 @@ void BM_RewriteSingleBitIndexed(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RewriteSingleBitIndexed)->Arg(16)->Arg(64)->Arg(96)->Unit(benchmark::kMicrosecond);
-
-void BM_RewriteSingleBitNaive(benchmark::State& state) {
-  const unsigned m = static_cast<unsigned>(state.range(0));
-  const auto& netlist = mastrovito_netlist(m);
-  const auto z_mid = *netlist.find_var("z" + std::to_string(m / 2));
-  gfre::core::RewriteOptions options;
-  options.strategy = gfre::core::RewriteStrategy::NaiveScan;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        gfre::core::extract_output_anf(netlist, z_mid, options));
-  }
-}
-BENCHMARK(BM_RewriteSingleBitNaive)->Arg(16)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 void BM_ExtractAllBits(benchmark::State& state) {
   const unsigned m = static_cast<unsigned>(state.range(0));

@@ -54,7 +54,7 @@ int main() {
       "note: the paper's Montgomery extraction is far costlier than its\n"
       "Mastrovito extraction because intermediate polynomials blow up\n"
       "before cancellation; our occurrence-indexed rewriter avoids most of\n"
-      "that (see bench_ablation_rewriting for the naive-strategy behaviour\n"
+      "that (see bench_ablation_rewriting for the naive-scan behaviour\n"
       "the paper's numbers reflect).  P(x) recovery: %s\n",
       all_ok ? "PASS" : "FAIL");
   return all_ok ? 0 : 1;

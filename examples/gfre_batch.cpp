@@ -53,7 +53,7 @@ namespace {
 
 void usage(std::ostream& os) {
   os << "usage: gfre_batch --jobs <manifest> [--threads N]\n"
-     << "                  [--strategy packed|indexed|naive]\n"
+     << "                  [--strategy packed|indexed]\n"
      << "                  [--ports a,b,z] [--max-terms N]\n"
      << "                  [--library cells.lib]\n"
      << "                  [--queue-cap N] [--deadline-ms N]\n"
@@ -69,7 +69,7 @@ void usage(std::ostream& os) {
      << "                     verify=, permute=, max_terms=, library=,\n"
      << "                     deadline_ms=, priority=high|normal|low)\n"
      << "  --threads N        shared pool width (default: hardware)\n"
-     << "  --strategy NAME    default backend: packed|indexed|naive\n"
+     << "  --strategy NAME    default backend: packed|indexed\n"
      << "  --ports a,b,z      default operand/result port base names\n"
      << "  --max-terms N      default per-bit term budget (0 = unlimited)\n"
      << "  --library FILE     default cell library (.lib subset) resolving\n"

@@ -41,7 +41,7 @@ namespace {
 void usage(std::ostream& os) {
   os << "usage: gfre_client (--socket PATH | --tcp PORT)\n"
      << "                   [--jobs manifest] [--out report.jsonl]\n"
-     << "                   [--strategy packed|indexed|naive]\n"
+     << "                   [--strategy packed|indexed]\n"
      << "                   [--ports a,b,z] [--max-terms N]\n"
      << "                   [--library cells.lib]\n"
      << "                   [--deadline-ms N] [--no-verify]\n"

@@ -7,8 +7,7 @@
 // Options:
 //   --threads N        extraction threads (default: hardware)
 //   --ports a,b,z      operand/result port base names (default a,b,z)
-//   --strategy NAME    rewriting backend: packed (default), indexed, naive
-//   --naive            shorthand for --strategy naive
+//   --strategy NAME    rewriting backend: packed (default), indexed
 //   --library FILE     cell library (.lib subset) resolving non-builtin cells
 //   --no-verify        skip the golden-model comparison
 //   --trace BIT        print the Algorithm-1 trace of one output bit
@@ -33,7 +32,7 @@ namespace {
 void usage() {
   std::cerr
       << "usage: reverse_engineer [--threads N] [--ports a,b,z]\n"
-      << "                        [--strategy packed|indexed|naive]\n"
+      << "                        [--strategy packed|indexed]\n"
       << "                        [--library cells.lib]\n"
       << "                        [--no-verify] [--trace BIT]\n"
       << "                        <netlist.eqn|netlist.blif|netlist.v>\n"
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--demo") {
       demo = true;
-    } else if (arg == "--naive") {
-      options.strategy = core::RewriteStrategy::NaiveScan;
     } else if (arg == "--strategy" && i + 1 < argc) {
       const auto strategy = core::strategy_from_name(argv[++i]);
       if (!strategy.has_value()) {

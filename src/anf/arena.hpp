@@ -1,5 +1,5 @@
-// Monotonic per-cone arena — the allocation backbone of the vectorized
-// packed engine.
+// Monotonic per-cone arena — the allocation backbone of the packed
+// engine.
 //
 // Backward rewriting has a textbook arena lifetime: every table, bucket
 // and scratch buffer a cone's extraction touches dies together when the

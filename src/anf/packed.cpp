@@ -7,7 +7,6 @@
 #include <string>
 
 #include "anf/arena.hpp"
-#include "anf/simd.hpp"
 #include "util/error.hpp"
 
 namespace gfre::anf::packed {
@@ -49,10 +48,7 @@ struct BitsRep {
                                    : W == 2 ? RepKind::Bits128
                                    : W == 4 ? RepKind::Bits256
                                             : RepKind::Bits512;
-  static constexpr unsigned kWords = W;
   std::array<std::uint64_t, W> w{};
-
-  bool operator==(const BitsRep&) const = default;
 
   static BitsRep from_range(const Slot* begin, const Slot* end) {
     BitsRep r;
@@ -67,13 +63,6 @@ struct BitsRep {
   }
 
   void clear(Slot s) { w[s >> 6] &= ~(1ull << (s & 63)); }
-
-  /// Monomial product (variables are idempotent): set union = word OR.
-  BitsRep united(const BitsRep& other) const {
-    BitsRep r;
-    for (unsigned i = 0; i < W; ++i) r.w[i] = w[i] | other.w[i];
-    return r;
-  }
 
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
@@ -90,19 +79,24 @@ struct BitsRep {
 /// Wide-cone spill representation: a sorted inline array of 32-bit slots,
 /// stored as packed 64-bit words (halfword 0 is the degree, halfwords
 /// 1..kSparseMaxDegree the slots) so equality and hashing are straight
-/// word-kernel operations.  Covers any cone up to kMaxSlots; degree is
-/// capped at kSparseMaxDegree (Overflow past that — the caller falls back
-/// to the legacy engine).
+/// word operations.  Covers any cone up to kMaxSlots; degree is capped at
+/// kSparseMaxDegree (Overflow past that — the caller falls back to the
+/// Indexed backend).
+///
+/// Prefix-dirty invariant: a monomial's used words (halfwords 0..deg, plus
+/// one zeroed trailing halfword when deg is even) are always canonical, but
+/// words past them may hold stale content from a recycled entry or a reused
+/// scratch value.  Every consumer is degree-bounded — rep_eq and rep_hash
+/// read the used-word prefix, for_each_slot reads deg slots — so the stale
+/// tail is never observed, and toggles stop paying a 13-word zero plus a
+/// 13-word copy for degree-3 monomials.
 struct SparseRep {
   static constexpr RepKind kKind = RepKind::Sparse;
   static constexpr unsigned kWords = (kSparseMaxDegree + 2) / 2;
-  // Invariant: halfwords [1, deg] sorted ascending, halfwords past deg
-  // zeroed (so the defaulted operator== compares whole values).
   std::array<std::uint64_t, kWords> w{};
 
-  bool operator==(const SparseRep&) const = default;
-
   std::uint32_t deg() const { return static_cast<std::uint32_t>(w[0]); }
+  unsigned used_words() const { return (deg() + 2) / 2; }
 
   std::uint32_t slot_at(unsigned i) const {  // i in [0, deg)
     const unsigned h = i + 1;
@@ -136,14 +130,13 @@ struct SparseRep {
   }
 
   std::uint64_t hash() const {
-    // Halfwords past deg are zero by invariant, so hashing the used-word
-    // prefix keeps equal values hashing equally.
-    const unsigned words = (deg() + 2) / 2;
     std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (unsigned i = 0; i < words; ++i) h = mix64(h ^ w[i]);
+    for (unsigned i = 0; i < used_words(); ++i) h = mix64(h ^ w[i]);
     return h;
   }
 
+  /// Removes s, keeping the prefix canonical: the vacated last slot is the
+  /// new trailing halfword and is zeroed.
   void clear(Slot s) {
     const unsigned d = deg();
     for (unsigned i = 0; i < d; ++i) {
@@ -155,28 +148,6 @@ struct SparseRep {
     }
   }
 
-  SparseRep united(const SparseRep& other) const {
-    SparseRep r;
-    const unsigned da = deg(), db = other.deg();
-    unsigned i = 0, j = 0, n = 0;
-    while (i < da || j < db) {
-      std::uint32_t next;
-      if (j >= db || (i < da && slot_at(i) <= other.slot_at(j))) {
-        next = slot_at(i);
-        if (j < db && other.slot_at(j) == next) ++j;  // idempotent: x*x = x
-        ++i;
-      } else {
-        next = other.slot_at(j++);
-      }
-      if (n == kSparseMaxDegree) {
-        throw Overflow("monomial union exceeds the sparse packing cap");
-      }
-      r.set_slot(n++, next);
-    }
-    r.set_deg(n);
-    return r;
-  }
-
   template <typename Fn>
   void for_each_slot(Fn&& fn) const {
     const unsigned d = deg();
@@ -184,54 +155,38 @@ struct SparseRep {
   }
 };
 
-// Kernel-routed representation helpers (the scalar engine uses the
-// member-function forms directly and never touches a kernel table).
+// Portable word helpers over the representations.  Fixed widths are
+// compile-time loops the compiler unrolls.
+
+inline bool words_equal(const std::uint64_t* a, const std::uint64_t* b,
+                        std::size_t n) {
+  std::uint64_t diff = 0;
+  for (std::size_t i = 0; i < n; ++i) diff |= a[i] ^ b[i];
+  return diff == 0;
+}
 
 template <unsigned W>
-inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b,
-                   const simd::Kernels& k) {
-  if constexpr (W == 1) {
-    (void)k;
-    return a.w[0] == b.w[0];
-  } else {
-    return k.eq_words(a.w.data(), b.w.data(), W);
-  }
+inline bool rep_eq(const BitsRep<W>& a, const BitsRep<W>& b) {
+  return words_equal(a.w.data(), b.w.data(), W);
 }
 
-inline bool rep_eq(const SparseRep& a, const SparseRep& b,
-                   const simd::Kernels& k) {
+inline bool rep_eq(const SparseRep& a, const SparseRep& b) {
   if (a.w[0] != b.w[0]) return false;  // degree + first slot fast reject
-  // Equal w[0] means equal degrees, and halfwords past deg are zero by
-  // invariant — comparing the used-word prefix suffices (typical cone
-  // monomials have degree <= 3, i.e. two words instead of thirteen).
-  return k.eq_words(a.w.data(), b.w.data(), (a.deg() + 2) / 2);
+  // Equal w[0] means equal degrees: comparing the used-word prefix
+  // suffices (typical cone monomials have degree <= 3, i.e. two words
+  // instead of thirteen).
+  return words_equal(a.w.data(), b.w.data(), a.used_words());
 }
 
+/// Monomial product (variables are idempotent): set union = word OR.
 template <unsigned W>
 inline void rep_united(BitsRep<W>& dst, const BitsRep<W>& a,
-                       const BitsRep<W>& b, const simd::Kernels& k) {
-  if constexpr (W == 1) {
-    (void)k;
-    dst.w[0] = a.w[0] | b.w[0];
-  } else {
-    k.or_words(dst.w.data(), a.w.data(), b.w.data(), W);
-  }
+                       const BitsRep<W>& b) {
+  for (unsigned i = 0; i < W; ++i) dst.w[i] = a.w[i] | b.w[i];
 }
 
-// The kernel engine works prefix-dirty on SparseRep: a monomial's used
-// words (halfwords 0..deg, plus one zeroed trailing halfword when deg is
-// even) are always canonical, but words past them may hold stale content
-// from a recycled entry or a reused scratch value.  Every consumer inside
-// the engine is degree-bounded — rep_eq and rep_hash read the used-word
-// prefix, for_each_slot reads deg slots — so the stale tail is never
-// observed, and toggles stop paying a 13-word zero plus a 13-word copy
-// for degree-3 monomials.  The scalar engine keeps SparseRep's
-// fully-zeroed invariant (defaulted operator==, whole-value hash); these
-// helpers are for the kernel engine only.
-
 /// Sorted-merge union a ∪ b into dst's prefix (dst must alias neither).
-inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b,
-                       const simd::Kernels&) {
+inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b) {
   const unsigned da = a.deg(), db = b.deg();
   unsigned i = 0, j = 0, n = 0;
   while (i < da || j < db) {
@@ -255,24 +210,24 @@ inline void rep_united(SparseRep& dst, const SparseRep& a, const SparseRep& b,
 }
 
 template <unsigned W>
-inline std::size_t rep_degree(const BitsRep<W>& r, const simd::Kernels& k) {
-  return k.popcount_words(r.w.data(), W);
+inline std::size_t rep_degree(const BitsRep<W>& r) {
+  std::size_t total = 0;
+  for (unsigned i = 0; i < W; ++i) {
+    total += static_cast<std::size_t>(std::popcount(r.w[i]));
+  }
+  return total;
 }
 
-inline std::size_t rep_degree(const SparseRep& r, const simd::Kernels&) {
-  return r.deg();
-}
+inline std::size_t rep_degree(const SparseRep& r) { return r.deg(); }
 
-/// Entry assignment for the kernel engine's tables (prefix-only for
-/// SparseRep, see the prefix-dirty note above rep_united).
+/// Entry assignment (prefix-only for SparseRep, see its invariant).
 template <unsigned W>
 inline void rep_assign(BitsRep<W>& dst, const BitsRep<W>& src) {
   dst = src;
 }
 
 inline void rep_assign(SparseRep& dst, const SparseRep& src) {
-  const unsigned words = (src.deg() + 2) / 2;
-  for (unsigned i = 0; i < words; ++i) dst.w[i] = src.w[i];
+  for (unsigned i = 0; i < src.used_words(); ++i) dst.w[i] = src.w[i];
 }
 
 template <unsigned W>
@@ -280,16 +235,49 @@ inline std::uint64_t rep_hash(const BitsRep<W>& r) {
   return r.hash();
 }
 
-/// Table-layout hash for the kernel engine.  Layout does not affect set
-/// semantics (same toggles, same cancellations, same monomials), so this
-/// need not match SparseRep::hash: one avalanche over the two words that
-/// cover every degree <= 3 monomial — the overwhelming cone traffic —
-/// replaces the serial per-word mixing chain.
+/// Table-layout hash: one avalanche over the two words that cover every
+/// degree <= 3 monomial — the overwhelming cone traffic — replaces the
+/// serial per-word mixing chain.
 inline std::uint64_t rep_hash(const SparseRep& r) {
-  const unsigned words = (r.deg() + 2) / 2;
+  const unsigned words = r.used_words();
   if (words == 1) return mix64(r.w[0]);
   if (words == 2) return mix64(r.w[0] ^ (r.w[1] * 0x9e3779b97f4a7c15ull));
   return r.hash();
+}
+
+/// Per-byte zero test without branches or carries between bytes: the
+/// result has 0x80 in every byte of x that is zero, 0x00 elsewhere.
+inline std::uint64_t zero_bytes(std::uint64_t x) {
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+  return ~(((x & kLow7) + kLow7) | x | kLow7);
+}
+
+/// Gathers the high bit of each byte (bit 8k+7) into bit k.
+inline std::uint64_t byte_high_bits(std::uint64_t m) {
+  return ((m >> 7) * 0x0102040810204080ull) >> 56;
+}
+
+/// One 16-byte control-tag group probed in a single pass, eight bytes per
+/// word: bits [15:0] are the bytes equal to `tag`, bits [31:16] the empty
+/// bytes (0xFF), bits [47:32] the free bytes (high bit set: empty or
+/// tombstone).
+inline std::uint64_t probe_group(const std::uint8_t* tags, std::uint8_t tag) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  constexpr std::uint64_t kHigh = 0x8080808080808080ull;
+  std::uint64_t match = 0, empty = 0, free_ = 0;
+  for (unsigned half = 0; half < 2; ++half) {
+    // Byte i of the half lands in bits [8i+7:8i] on any endianness;
+    // compilers fold this into one load on little-endian hosts.
+    std::uint64_t w = 0;
+    for (unsigned i = 0; i < 8; ++i) {
+      w |= static_cast<std::uint64_t>(tags[8 * half + i]) << (8 * i);
+    }
+    const unsigned shift = 8 * half;
+    match |= byte_high_bits(zero_bytes(w ^ (kOnes * tag))) << shift;
+    empty |= byte_high_bits(zero_bytes(~w)) << shift;
+    free_ |= byte_high_bits(w & kHigh) << shift;
+  }
+  return match | (empty << 16) | (free_ << 32);
 }
 
 }  // namespace
@@ -301,7 +289,6 @@ inline std::uint64_t rep_hash(const SparseRep& r) {
 struct ConeEngine::Impl {
   virtual ~Impl() = default;
   virtual RepKind rep() const = 0;
-  virtual simd::Level level() const = 0;
   virtual std::size_t occurrence_count(Slot var) = 0;
   virtual void substitute(Slot var, const TermList& terms) = 0;
   virtual std::size_t size() const = 0;
@@ -316,10 +303,10 @@ struct ConeEngine::Impl {
 
 namespace {
 
-/// A slot's occurrence bucket in the kernel engine: packed (id, gen)
-/// handles in arena memory.  Trivial by design — the per-thread bucket
-/// directory persists across cones and is revalidated by epoch, so a
-/// stale Bucket is simply overwritten, never destroyed.
+/// A slot's occurrence bucket: packed (id, gen) handles in arena memory.
+/// Trivial by design — the per-thread bucket directory persists across
+/// cones and is revalidated by epoch, so a stale Bucket is simply
+/// overwritten, never destroyed.
 struct Bucket {
   std::uint64_t* refs;
   std::uint32_t size;
@@ -363,217 +350,19 @@ EngineScratch& thread_scratch() {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar engine: portable linear-probing flat table (the differential
-// baseline — GFRE_SIMD=scalar routes every cone here).
+// The engine: 16-byte control-tag groups (SwissTable-style), with every
+// table, bucket and scratch buffer bump-allocated from the per-thread cone
+// arena.  A probe touches a 16-byte tag group first (one cache line covers
+// four groups) and only dereferences entries whose 7-bit tag matched, and
+// cone teardown/retirement is a pointer rewind.
 // ---------------------------------------------------------------------------
 
 template <typename Rep>
-class EngineImpl final : public ConeEngine::Impl {
+class ArenaEngine final : public ConeEngine::Impl {
  public:
-  EngineImpl(std::size_t num_slots, Slot root) : occ_(num_slots) {
-    table_.assign(kMinTable, kEmpty);
-    toggle(Rep::from_range(&root, &root + 1));
-    cancellations_ = 0;  // the seed insert can never cancel
-    peak_ = live_;
-  }
-
-  RepKind rep() const override { return Rep::kKind; }
-  simd::Level level() const override { return simd::Level::Scalar; }
-
-  std::size_t occurrence_count(Slot var) override {
-    collect_hits(var);
-    return hits_.size();
-  }
-
-  void substitute(Slot var, const TermList& terms) override {
-    // Reuses the hit set stashed by an immediately preceding
-    // occurrence_count(var) — the driver's prepare/substitute pairing —
-    // so the bucket is walked once per gate.  The stash can only go stale
-    // through toggles, which happen exclusively below (and invalidate it).
-    if (!hits_valid_ || hits_var_ != var) collect_hits(var);
-    hits_valid_ = false;
-    // `var` never reappears after this step (reverse topological order),
-    // so the whole bucket can be retired.
-    std::vector<OccRef>().swap(occ_[var]);
-
-    packed_terms_.clear();
-    for (std::size_t t = 0; t < terms.term_count(); ++t) {
-      packed_terms_.push_back(
-          Rep::from_range(terms.term_begin(t), terms.term_end(t)));
-    }
-
-    for (const Rep& hit : hits_) {
-      erase_known(hit);
-      Rep rest = hit;
-      rest.clear(var);
-      for (const Rep& term : packed_terms_) toggle(rest.united(term));
-    }
-    peak_ = std::max(peak_, live_);
-  }
-
-  std::size_t size() const override { return live_; }
-  std::size_t cancellations() const override { return cancellations_; }
-  std::size_t peak_terms() const override { return peak_; }
-
-  std::vector<SlotMono> monomials() const override {
-    std::vector<SlotMono> out;
-    out.reserve(live_);
-    for (const Entry& e : entries_) {
-      if ((e.gen & 1u) == 0) continue;  // odd generation = live
-      SlotMono mono;
-      e.mono.for_each_slot([&](Slot s) { mono.push_back(s); });
-      out.push_back(std::move(mono));
-    }
-    return out;
-  }
-
- private:
-  struct Entry {
-    Rep mono{};
-    // Liveness is the generation's parity (odd = live); a stale occurrence
-    // handle is detected by generation mismatch, so a recycled entry id
-    // never aliases an old handle.
-    std::uint32_t gen = 0;
-  };
-  struct OccRef {
-    std::uint32_t id;
-    std::uint32_t gen;
-  };
-
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-  static constexpr std::uint32_t kTombstone = 0xfffffffeu;
-  static constexpr std::size_t kMinTable = 64;
-
-  /// Adds mono mod 2: inserts if absent, cancels if present.
-  void toggle(const Rep& mono) {
-    maybe_grow();
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = mono.hash() & mask;
-    std::size_t first_tombstone = table_.size();
-    for (;; i = (i + 1) & mask) {
-      const std::uint32_t s = table_[i];
-      if (s == kEmpty) {
-        insert(mono, first_tombstone < table_.size() ? first_tombstone : i,
-               first_tombstone >= table_.size());
-        return;
-      }
-      if (s == kTombstone) {
-        if (first_tombstone == table_.size()) first_tombstone = i;
-        continue;
-      }
-      if (entries_[s].mono == mono) {
-        ++entries_[s].gen;  // live -> dead; stale handles stop matching
-        free_.push_back(s);
-        table_[i] = kTombstone;
-        --live_;
-        ++cancellations_;
-        return;
-      }
-    }
-  }
-
-  /// Removes a monomial known to be live (a substitution hit) without
-  /// counting it as a mod-2 cancellation.
-  void erase_known(const Rep& mono) {
-    const std::size_t mask = table_.size() - 1;
-    std::size_t i = mono.hash() & mask;
-    for (;; i = (i + 1) & mask) {
-      const std::uint32_t s = table_[i];
-      GFRE_ASSERT(s != kEmpty, "packed engine: erasing absent monomial");
-      if (s == kTombstone || !(entries_[s].mono == mono)) continue;
-      ++entries_[s].gen;
-      free_.push_back(s);
-      table_[i] = kTombstone;
-      --live_;
-      return;
-    }
-  }
-
-  void insert(const Rep& mono, std::size_t table_index, bool fresh_slot) {
-    std::uint32_t id;
-    if (!free_.empty()) {
-      id = free_.back();
-      free_.pop_back();
-    } else {
-      id = static_cast<std::uint32_t>(entries_.size());
-      entries_.emplace_back();
-    }
-    Entry& e = entries_[id];
-    e.mono = mono;
-    ++e.gen;  // dead -> live
-    table_[table_index] = id;
-    if (fresh_slot) ++used_;
-    ++live_;
-    mono.for_each_slot([&](Slot s) { occ_[s].push_back(OccRef{id, e.gen}); });
-  }
-
-  /// Validates the bucket's handles, stashing live monomials as packed
-  /// copies in hits_ and compacting the bucket in place.
-  void collect_hits(Slot var) {
-    auto& bucket = occ_[var];
-    hits_.clear();
-    std::size_t out = 0;
-    for (const OccRef& ref : bucket) {
-      if (entries_[ref.id].gen != ref.gen) continue;  // stale handle
-      hits_.push_back(entries_[ref.id].mono);
-      bucket[out++] = ref;
-    }
-    bucket.resize(out);
-    hits_var_ = var;
-    hits_valid_ = true;
-  }
-
-  void maybe_grow() {
-    if ((used_ + 1) * 8 < table_.size() * 7) return;
-    // Grow for the live set; if tombstones dominate, this rehash at the
-    // same power of two just sweeps them out.
-    std::size_t target = std::bit_ceil(std::max(kMinTable, live_ * 4));
-    table_.assign(target, kEmpty);
-    used_ = live_;
-    const std::size_t mask = table_.size() - 1;
-    for (std::uint32_t id = 0; id < entries_.size(); ++id) {
-      if ((entries_[id].gen & 1u) == 0) continue;
-      std::size_t i = entries_[id].mono.hash() & mask;
-      while (table_[i] != kEmpty) i = (i + 1) & mask;
-      table_[i] = id;
-    }
-  }
-
-  std::vector<Entry> entries_;
-  std::vector<std::uint32_t> free_;
-  std::vector<std::uint32_t> table_;  // power-of-2 open addressing
-  std::size_t live_ = 0;
-  std::size_t used_ = 0;  // live + tombstones
-  std::vector<std::vector<OccRef>> occ_;  // per-slot occurrence handles
-  std::size_t cancellations_ = 0;
-  std::size_t peak_ = 0;
-  // Per-substitution scratch, reused to avoid churn.  hits_ doubles as
-  // the occurrence_count -> substitute stash (guarded by hits_var_).
-  std::vector<Rep> hits_;
-  Slot hits_var_ = 0;
-  bool hits_valid_ = false;
-  std::vector<Rep> packed_terms_;
-};
-
-// ---------------------------------------------------------------------------
-// Kernel engine: 16-byte control-tag groups (SwissTable-style) probed and
-// compared through the anf/simd.hpp kernel table, with every table, bucket
-// and scratch buffer bump-allocated from the per-thread cone arena.
-//
-// Identical set semantics to the scalar engine — same toggles, same
-// cancellation accounting, same occurrence-stash protocol — so reports are
-// bit-identical whichever implementation a cone ran on.  What changes is
-// the constant factor: a probe touches a 16-byte tag group first (one
-// cache line covers four groups) and only dereferences entries whose
-// 7-bit tag matched, and cone teardown/retirement is a pointer rewind.
-// ---------------------------------------------------------------------------
-
-template <typename Rep>
-class KernelEngine final : public ConeEngine::Impl {
- public:
-  KernelEngine(std::size_t num_slots, Slot root, const simd::Kernels& k,
-               simd::Level lvl, EngineScratch* scratch, bool owns_scratch)
-      : k_(k), level_(lvl), scratch_(scratch), owns_scratch_(owns_scratch) {
+  ArenaEngine(std::size_t num_slots, Slot root, EngineScratch* scratch,
+              bool owns_scratch)
+      : scratch_(scratch), owns_scratch_(owns_scratch) {
     scratch_->ensure_slots(num_slots);
     epoch_ = scratch_->next_epoch();
     scratch_->arena.reset();
@@ -587,7 +376,7 @@ class KernelEngine final : public ConeEngine::Impl {
     peak_ = live_;
   }
 
-  ~KernelEngine() override {
+  ~ArenaEngine() override {
     if (owns_scratch_) {
       delete scratch_;
     } else {
@@ -596,7 +385,6 @@ class KernelEngine final : public ConeEngine::Impl {
   }
 
   RepKind rep() const override { return Rep::kKind; }
-  simd::Level level() const override { return level_; }
 
   std::size_t occurrence_count(Slot var) override {
     // Most queried vars never entered F (the driver probes every cone
@@ -610,6 +398,10 @@ class KernelEngine final : public ConeEngine::Impl {
   }
 
   void substitute(Slot var, const TermList& terms) override {
+    // Reuses the hit set stashed by an immediately preceding
+    // occurrence_count(var) — the rewriter's prepare/substitute pairing —
+    // so the bucket is walked once per gate.  The stash can only go stale
+    // through toggles, which happen exclusively below (and invalidate it).
     if (!hits_valid_ || hits_var_ != var) collect_hits(var);
     hits_valid_ = false;
     // `var` never reappears (reverse topological order): retire the
@@ -636,7 +428,7 @@ class KernelEngine final : public ConeEngine::Impl {
       kill(id);
       rest.clear(var);
       for (const Rep& term : packed_terms_) {
-        rep_united(product, rest, term, k_);
+        rep_united(product, rest, term);
         toggle(product);
       }
     }
@@ -654,7 +446,7 @@ class KernelEngine final : public ConeEngine::Impl {
       const Entry& e = entries_[id];
       if ((e.gen & 1u) == 0) continue;  // odd generation = live
       SlotMono mono;
-      mono.reserve(rep_degree(e.mono, k_));
+      mono.reserve(rep_degree(e.mono));
       e.mono.for_each_slot([&](Slot s) { mono.push_back(s); });
       out.push_back(std::move(mono));
     }
@@ -664,7 +456,10 @@ class KernelEngine final : public ConeEngine::Impl {
  private:
   struct Entry {
     Rep mono{};
-    std::uint32_t gen = 0;  // parity: odd = live (see scalar engine)
+    // Liveness is the generation's parity (odd = live); a stale occurrence
+    // handle is detected by generation mismatch, so a recycled entry id
+    // never aliases an old handle.
+    std::uint32_t gen = 0;
     std::uint32_t pos = 0;  // table slot holding this entry (valid while live)
   };
 
@@ -708,8 +503,8 @@ class KernelEngine final : public ConeEngine::Impl {
   }
 
   /// Adds mono mod 2: inserts if absent, cancels if present.  One fused
-  /// probe_group call per group yields the tag-match, empty and free masks
-  /// together (a third of the indirect calls of probing them separately).
+  /// probe_group pass per group yields the tag-match, empty and free masks
+  /// together.
   void toggle(const Rep& mono) {
     maybe_grow();
     const std::uint64_t h = rep_hash(mono);
@@ -719,14 +514,14 @@ class KernelEngine final : public ConeEngine::Impl {
     std::size_t first_free = kNone;
     for (;; g = (g + 1) & gmask) {
       const std::uint8_t* gt = tags_ + g * 16;
-      const std::uint64_t probe = k_.probe_group(gt, tag);
+      const std::uint64_t probe = probe_group(gt, tag);
       std::uint32_t match = static_cast<std::uint32_t>(probe & 0xFFFFu);
       while (match != 0) {
         const unsigned b = static_cast<unsigned>(std::countr_zero(match));
         match &= match - 1;
         const std::size_t pos = g * 16 + b;
         const std::uint32_t id = idx_[pos];
-        if (rep_eq(entries_[id].mono, mono, k_)) {
+        if (rep_eq(entries_[id].mono, mono)) {
           kill(id);
           ++cancellations_;
           return;
@@ -813,7 +608,8 @@ class KernelEngine final : public ConeEngine::Impl {
       if ((entries_[id].gen & 1u) == 0) continue;
       const std::uint64_t h = rep_hash(entries_[id].mono);
       for (std::size_t g = h & gmask;; g = (g + 1) & gmask) {
-        const std::uint32_t empty = k_.match_tags16(tags_ + g * 16, kEmptyTag);
+        const auto empty = static_cast<std::uint32_t>(
+            (probe_group(tags_ + g * 16, kEmptyTag) >> 16) & 0xFFFFu);
         if (empty == 0) continue;
         const std::size_t pos =
             g * 16 + static_cast<unsigned>(std::countr_zero(empty));
@@ -825,8 +621,6 @@ class KernelEngine final : public ConeEngine::Impl {
     }
   }
 
-  const simd::Kernels k_;  // by value: one indirection per kernel call
-  const simd::Level level_;
   EngineScratch* scratch_;
   const bool owns_scratch_;
   std::uint32_t epoch_ = 0;
@@ -848,18 +642,14 @@ class KernelEngine final : public ConeEngine::Impl {
 };
 
 template <typename Rep>
-ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
-                            const simd::Kernels* kernels, simd::Level lvl) {
-  if (kernels == nullptr) {
-    return new EngineImpl<Rep>(num_slots, root);
-  }
-  static_assert(sizeof(KernelEngine<Rep>) <= kImplStorageBytes);
+ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root) {
+  static_assert(sizeof(ArenaEngine<Rep>) <= kImplStorageBytes);
   EngineScratch& ts = thread_scratch();
   if (!ts.in_use) {
     ts.in_use = true;
     try {
       auto* impl = new (static_cast<void*>(ts.impl_storage))
-          KernelEngine<Rep>(num_slots, root, *kernels, lvl, &ts, false);
+          ArenaEngine<Rep>(num_slots, root, &ts, false);
       impl->placed_ = true;
       return impl;
     } catch (...) {
@@ -870,9 +660,8 @@ ConeEngine::Impl* make_impl(std::size_t num_slots, Slot root,
   // Nested engine on this thread: rare (the rewriter never does it), so a
   // private heap scratch is fine.
   auto scratch = std::make_unique<EngineScratch>();
-  auto* impl =
-      new KernelEngine<Rep>(num_slots, root, *kernels, lvl, scratch.get(),
-                            /*owns_scratch=*/true);
+  auto* impl = new ArenaEngine<Rep>(num_slots, root, scratch.get(),
+                                    /*owns_scratch=*/true);
   scratch.release();  // now owned by the impl
   return impl;
 }
@@ -893,24 +682,21 @@ ConeEngine::ConeEngine(std::size_t num_slots, Slot root) {
     throw Overflow("cone has " + std::to_string(num_slots) +
                    " variables, beyond the packed slot space");
   }
-  const simd::Level lvl = simd::active_level();
-  const simd::Kernels* kernels =
-      lvl == simd::Level::Scalar ? nullptr : simd::kernels_for_level(lvl);
   switch (rep_for_cone(num_slots)) {
     case RepKind::Bits64:
-      impl_.reset(make_impl<BitsRep<1>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<1>>(num_slots, root));
       break;
     case RepKind::Bits128:
-      impl_.reset(make_impl<BitsRep<2>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<2>>(num_slots, root));
       break;
     case RepKind::Bits256:
-      impl_.reset(make_impl<BitsRep<4>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<4>>(num_slots, root));
       break;
     case RepKind::Bits512:
-      impl_.reset(make_impl<BitsRep<8>>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<BitsRep<8>>(num_slots, root));
       break;
     case RepKind::Sparse:
-      impl_.reset(make_impl<SparseRep>(num_slots, root, kernels, lvl));
+      impl_.reset(make_impl<SparseRep>(num_slots, root));
       break;
   }
 }
@@ -920,7 +706,6 @@ ConeEngine::ConeEngine(ConeEngine&&) noexcept = default;
 ConeEngine& ConeEngine::operator=(ConeEngine&&) noexcept = default;
 
 RepKind ConeEngine::rep() const { return impl_->rep(); }
-simd::Level ConeEngine::level() const { return impl_->level(); }
 std::size_t ConeEngine::occurrence_count(Slot var) {
   return impl_->occurrence_count(var);
 }

@@ -8,23 +8,14 @@
 // inline-array spill representation for cones wider than 512 variables —
 // wide enough for the NIST binary-curve multipliers (m=163..571), whose
 // Montgomery cones reach hundreds of thousands of variables.  Monomials
-// live in an open-addressed flat hash table with in-place mod-2 toggling —
-// no per-monomial heap allocation, no node-based buckets — and the
-// variable -> occurrence index stores small (entry id, generation)
-// handles instead of monomial copies, so a gate substitution touches only
-// the monomials that actually mention the substituted variable.
-//
-// Two implementations sit behind ConeEngine, selected per cone by
-// anf::simd::active_level():
-//   scalar   the portable linear-probing engine (no intrinsics) — also
-//            the differential baseline forced by GFRE_SIMD=scalar;
-//   kernel   a 16-byte control-tag table (SwissTable-style group probes)
-//            whose word loops run through the anf/simd.hpp kernel layer
-//            (AVX2 / AVX-512 picked at runtime) and whose tables, buckets
-//            and scratch all live in a per-thread anf::MonotonicArena —
-//            zero steady-state heap allocations per cone.
-// Both produce bit-identical polynomials and statistics; the level is a
-// pure speed knob and deliberately not part of any result-cache key.
+// live in an open-addressed flat hash table of 16-byte control-tag groups
+// (SwissTable-style probes) with in-place mod-2 toggling — no per-monomial
+// heap allocation, no node-based buckets — and the variable -> occurrence
+// index stores small (entry id, generation) handles instead of monomial
+// copies, so a gate substitution touches only the monomials that actually
+// mention the substituted variable.  Tables, buckets and scratch all live
+// in a per-thread anf::MonotonicArena: zero steady-state heap allocations
+// per cone.
 //
 // The engine is representation-agnostic to its caller: core/rewriter.cpp
 // feeds it slot-space substitution steps and converts the final polynomial
@@ -38,8 +29,6 @@
 #include <memory>
 #include <stdexcept>
 #include <vector>
-
-#include "anf/simd.hpp"
 
 namespace gfre::anf::packed {
 
@@ -67,8 +56,8 @@ const char* to_string(RepKind kind);
 inline constexpr std::size_t kMaxSlots = std::size_t{1} << 22;
 
 /// Maximum monomial degree the sparse spill representation holds inline.
-/// Exceeding it raises Overflow; the caller falls back to the legacy
-/// engine for that cone.
+/// Exceeding it raises Overflow; the caller falls back to the Indexed
+/// backend for that cone.
 inline constexpr unsigned kSparseMaxDegree = 25;
 
 /// Width selection: smallest fixed-width bitset that covers the cone,
@@ -77,7 +66,7 @@ RepKind rep_for_cone(std::size_t cone_vars);
 
 /// Raised when a cone exceeds the engine's packing limits (too many cone
 /// variables for the slot space, or a monomial too wide for the sparse
-/// representation).  Callers treat it as "use the legacy backend".
+/// representation).  Callers treat it as "use the Indexed backend".
 struct Overflow : std::runtime_error {
   explicit Overflow(const std::string& what) : std::runtime_error(what) {}
 };
@@ -147,18 +136,13 @@ class TermList {
 class ConeEngine {
  public:
   /// num_slots must cover every slot ever passed in (<= kMaxSlots, else
-  /// Overflow).  root is F's initial monomial.  The SIMD level is
-  /// snapshotted from anf::simd::active_level() here.
+  /// Overflow).  root is F's initial monomial.
   ConeEngine(std::size_t num_slots, Slot root);
   ~ConeEngine();
   ConeEngine(ConeEngine&&) noexcept;
   ConeEngine& operator=(ConeEngine&&) noexcept;
 
   RepKind rep() const;
-
-  /// The kernel level this engine was constructed with (Scalar = the
-  /// portable fallback implementation).
-  simd::Level level() const;
 
   /// Number of live monomials currently mentioning `var` (compacts the
   /// occurrence bucket as a side effect).  O(bucket length).

@@ -232,7 +232,7 @@ nl::Netlist load_netlist_file(const std::string& path,
                               const std::string& library_path = {});
 
 /// Parses a batch manifest: one job per line,
-///   <netlist-path> [name=X] [ports=a,b,z] [strategy=packed|indexed|naive]
+///   <netlist-path> [name=X] [ports=a,b,z] [strategy=packed|indexed]
 ///                  [infer=0|1] [verify=0|1] [permute=0|1] [max_terms=N]
 ///                  [deadline_ms=N] [priority=high|normal|low]
 ///                  [library=cells.lib]

@@ -22,7 +22,6 @@ const char* to_string(RewriteStrategy strategy) {
   switch (strategy) {
     case RewriteStrategy::Packed: return "packed";
     case RewriteStrategy::Indexed: return "indexed";
-    case RewriteStrategy::NaiveScan: return "naive";
   }
   return "?";
 }
@@ -33,15 +32,12 @@ std::optional<RewriteStrategy> strategy_from_name(std::string_view name) {
                  [](unsigned char c) { return std::tolower(c); });
   if (lower == "packed") return RewriteStrategy::Packed;
   if (lower == "indexed") return RewriteStrategy::Indexed;
-  if (lower == "naive" || lower == "naivescan") {
-    return RewriteStrategy::NaiveScan;
-  }
   return std::nullopt;
 }
 
 namespace {
 
-/// Occurrence-indexed polynomial (the legacy "Indexed" backend's store): a
+/// Occurrence-indexed polynomial (the Indexed backend's store): a
 /// stable entry table plus a variable -> (entry id, generation) handle
 /// index.  Handles are validated by generation match — stale entries are
 /// dropped lazily, and a handle is pushed exactly once per live monomial
@@ -149,7 +145,8 @@ void trace_step(std::ostream& out, const nl::Netlist& netlist,
 //                                      hits)
 //   void substitute(const nl::Gate&) — apply the gate's ANF for v
 //   std::size_t size()               — |F|
-//   std::size_t transient_peak()     — intra-substitution |F| estimate
+//   std::size_t peak_terms()         — max |F| at construction and after
+//                                      each substitution
 //   std::size_t cancellations()      — running mod-2 cancellation count
 //   Anf value()                      — F as a canonical Anf
 // ---------------------------------------------------------------------------
@@ -231,16 +228,8 @@ class PackedBackend {
     engine_->substitute(var_slot_, terms_);
   }
 
-  // The engine folds live_ into its running peak at exactly the driver's
-  // observation points (construction and the end of each substitution), so
-  // the driver can skip its per-substitution size queries and read the
-  // final value here — same number, fewer than half the virtual hops in
-  // the hot loop.
-  static constexpr bool kTracksPeak = true;
-  std::size_t peak_terms() const { return engine_->peak_terms(); }
-
   std::size_t size() const { return engine_->size(); }
-  std::size_t transient_peak() const { return engine_->size(); }
+  std::size_t peak_terms() const { return engine_->peak_terms(); }
   std::size_t cancellations() const { return engine_->cancellations(); }
 
   Anf value() const {
@@ -360,15 +349,14 @@ class PackedBackend {
   anf::packed::TermList& terms_ = lease_.scratch->terms;
 };
 
-/// Legacy occurrence-indexed backend (the ablation baseline).
+/// Occurrence-indexed backend over canonical anf::Monomial values.
 class IndexedBackend {
  public:
   IndexedBackend(const nl::Netlist&, Var output,
                  const std::vector<std::size_t>&) {
     poly_.toggle(Monomial(output), nullptr);
+    peak_ = poly_.size();
   }
-
-  static constexpr bool kTracksPeak = false;
 
   bool prepare(Var v) {
     var_ = v;
@@ -385,10 +373,11 @@ class IndexedBackend {
         poly_.toggle(rest.times(term), &cancellations_);
       }
     }
+    peak_ = std::max(peak_, poly_.size());
   }
 
   std::size_t size() const { return poly_.size(); }
-  std::size_t transient_peak() const { return poly_.size(); }
+  std::size_t peak_terms() const { return peak_; }
   std::size_t cancellations() const { return cancellations_; }
   Anf value() const { return poly_.value(); }
 
@@ -397,51 +386,7 @@ class IndexedBackend {
   Var var_ = 0;
   std::vector<Monomial> hits_;
   std::size_t cancellations_ = 0;
-};
-
-/// Textbook whole-polynomial scan (lines 4-5 of Algorithm 1, literal
-/// reading) — kept for the ablation benchmark.
-class NaiveBackend {
- public:
-  NaiveBackend(const nl::Netlist&, Var output,
-               const std::vector<std::size_t>&)
-      : f_(Anf::var(output)) {}
-
-  static constexpr bool kTracksPeak = false;
-
-  bool prepare(Var v) {
-    var_ = v;
-    hits_.clear();
-    for (const Monomial& m : f_.monomials()) {
-      if (m.contains(v)) hits_.push_back(m);
-    }
-    return !hits_.empty();
-  }
-
-  void substitute(const nl::Gate& gate) {
-    const Anf expression = nl::cell_anf(gate.type, gate.inputs);
-    transient_peak_ =
-        f_.size() - hits_.size() + hits_.size() * expression.size();
-    for (const Monomial& hit : hits_) {
-      f_.toggle(hit);  // remove
-      const Monomial rest = hit.without(var_);
-      for (const Monomial& term : expression.monomials()) {
-        if (!f_.toggle(rest.times(term))) ++cancellations_;
-      }
-    }
-  }
-
-  std::size_t size() const { return f_.size(); }
-  std::size_t transient_peak() const { return transient_peak_; }
-  std::size_t cancellations() const { return cancellations_; }
-  const Anf& value() const { return f_; }
-
- private:
-  Anf f_;
-  Var var_ = 0;
-  std::vector<Monomial> hits_;
-  std::size_t cancellations_ = 0;
-  std::size_t transient_peak_ = 0;
+  std::size_t peak_ = 0;
 };
 
 /// Algorithm 1, generic over the substitution backend.
@@ -458,14 +403,6 @@ Anf run_backward_rewriting(const nl::Netlist& netlist, Var output,
   }
 
   Backend backend(netlist, output, cone);
-  std::size_t peak = Backend::kTracksPeak ? 0 : backend.size();
-  const auto current_peak = [&]() -> std::size_t {
-    if constexpr (Backend::kTracksPeak) {
-      return backend.peak_terms();
-    } else {
-      return peak;
-    }
-  };
   // Reverse topological order: consumers before producers.
   for (std::size_t idx = cone.size(); idx-- > 0;) {
     const nl::Gate& gate = netlist.gate(cone[idx]);
@@ -475,13 +412,10 @@ Anf run_backward_rewriting(const nl::Netlist& netlist, Var output,
     const std::size_t cancelled_before =
         options.trace == nullptr ? 0 : backend.cancellations();
     backend.substitute(gate);
-    if constexpr (!Backend::kTracksPeak) {
-      peak = std::max({peak, backend.size(), backend.transient_peak()});
-    }
     if (options.max_terms != 0 && backend.size() > options.max_terms) {
       if (stats != nullptr) {
         stats->cancellations = backend.cancellations();
-        stats->peak_terms = current_peak();
+        stats->peak_terms = backend.peak_terms();
         stats->final_terms = backend.size();
       }
       throw TermBudgetExceeded(backend.size(), options.max_terms);
@@ -493,7 +427,7 @@ Anf run_backward_rewriting(const nl::Netlist& netlist, Var output,
       // substitution is noise against the substitution itself.
       if (stats != nullptr) {
         stats->cancellations = backend.cancellations();
-        stats->peak_terms = current_peak();
+        stats->peak_terms = backend.peak_terms();
         stats->final_terms = backend.size();
       }
       throw DeadlineExceeded();
@@ -509,7 +443,7 @@ Anf run_backward_rewriting(const nl::Netlist& netlist, Var output,
 
   if (stats != nullptr) {
     stats->cancellations = backend.cancellations();
-    stats->peak_terms = current_peak();
+    stats->peak_terms = backend.peak_terms();
     stats->final_terms = backend.size();
   }
   return backend.value();
@@ -528,8 +462,8 @@ Anf extract_output_anf(const nl::Netlist& netlist, Var output,
             run_backward_rewriting<PackedBackend>(netlist, output, options,
                                                   stats);
       } catch (const anf::packed::Overflow&) {
-        // Cone beyond the packing limits (16-bit slot space or sparse
-        // degree cap): redo this cone on the legacy engine.
+        // Cone beyond the packing limits (kMaxSlots slot space or sparse
+        // degree cap): redo this cone on the Indexed backend.
         result =
             run_backward_rewriting<IndexedBackend>(netlist, output, options,
                                                    stats);
@@ -538,10 +472,6 @@ Anf extract_output_anf(const nl::Netlist& netlist, Var output,
     case RewriteStrategy::Indexed:
       result = run_backward_rewriting<IndexedBackend>(netlist, output,
                                                       options, stats);
-      break;
-    case RewriteStrategy::NaiveScan:
-      result = run_backward_rewriting<NaiveBackend>(netlist, output, options,
-                                                    stats);
       break;
   }
   // Sanity (Theorem 1): a fully rewritten polynomial mentions only primary

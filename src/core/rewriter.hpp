@@ -7,21 +7,21 @@
 // inputs: it is the unique ANF of that output bit (Theorem 1), and by
 // Theorem 2 each output bit can be rewritten independently.
 //
-// Algorithm 1 itself is generic over a substitution backend; three are
+// Algorithm 1 itself is generic over a substitution backend; two are
 // provided:
-//  * Packed    — the default.  Cone variables are densely remapped to
-//                slots 0..k-1 and monomials packed as fixed-width bitsets
-//                (1/2/4 64-bit words chosen per cone, sorted-u16 spill for
-//                wider cones) in an open-addressed flat table with an
-//                occurrence index of small handles (anf/packed.hpp).  The
-//                final polynomial is converted back to the canonical
-//                anf::Anf, so everything downstream is unchanged.
-//  * Indexed   — the legacy engine: heap monomials in an unordered set
-//                plus a variable -> occurrence-handle index, making each
-//                substitution O(occurrences x |gate ANF|).  Kept as the
-//                ablation baseline.
-//  * NaiveScan — re-scans the whole polynomial per gate (the textbook
-//                reading of Algorithm 1; kept for the ablation benchmark).
+//  * Packed  — the default.  Cone variables are densely remapped to 32-bit
+//              slots 0..k-1 and monomials packed as fixed-width bitsets
+//              (1/2/4/8 64-bit words chosen per cone, a sorted inline
+//              slot-array spill for wider cones) in an open-addressed flat
+//              table with an occurrence index of small handles
+//              (anf/packed.hpp).  The final polynomial is converted back to
+//              the canonical anf::Anf, so everything downstream is
+//              unchanged.
+//  * Indexed — heap monomials in an unordered set plus a variable ->
+//              occurrence-handle index, making each substitution
+//              O(occurrences x |gate ANF|).  Packed's fallback for cones
+//              beyond its packing limits, and the independent differential
+//              reference.
 #pragma once
 
 #include <chrono>
@@ -73,16 +73,17 @@ class DeadlineExceeded : public Error {
               "abandoned at a substitution checkpoint") {}
 };
 
+/// The values are hashed into result-cache keys (core/content_walk.hpp):
+/// they never change, and the retired value 2 is never reused.
 enum class RewriteStrategy {
-  Packed,
-  Indexed,
-  NaiveScan,
+  Packed = 0,
+  Indexed = 1,
 };
 
-/// Canonical lower-case name ("packed", "indexed", "naive").
+/// Canonical lower-case name ("packed", "indexed").
 const char* to_string(RewriteStrategy strategy);
 
-/// Inverse of to_string (case-insensitive; "naivescan" also accepted).
+/// Inverse of to_string (case-insensitive).
 std::optional<RewriteStrategy> strategy_from_name(std::string_view name);
 
 /// Per-extraction statistics (drives the paper's runtime/memory columns and

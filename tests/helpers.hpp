@@ -59,6 +59,20 @@ inline void expect_reports_equal(const core::FlowReport& got,
   }
 }
 
+/// Textbook reading of Algorithm 1: substitute every cone gate, in reverse
+/// topological order, by a whole-polynomial rescan (anf::Anf::substitute).
+/// Shares no code with the rewriter's backends, so it is the independent
+/// reference the engine differentials compare against.
+inline anf::Anf textbook_anf(const nl::Netlist& netlist, nl::Var output) {
+  anf::Anf f = anf::Anf::var(output);
+  const auto cone = netlist.fanin_cone(output);
+  for (std::size_t i = cone.size(); i-- > 0;) {
+    const nl::Gate& gate = netlist.gate(cone[i]);
+    f.substitute(gate.output, nl::cell_anf(gate.type, gate.inputs));
+  }
+  return f;
+}
+
 /// Builds a random combinational DAG over `num_inputs` inputs with
 /// `num_gates` gates drawn from the full cell library, with every declared
 /// output being the last few gates (so nothing is trivially dead).

@@ -13,7 +13,9 @@
 #include "gf2m/field.hpp"
 #include "gf2poly/catalog.hpp"
 #include "gf2poly/irreducible.hpp"
+#include "helpers.hpp"
 #include "netlist/io_eqn.hpp"
+#include "netlist/ports.hpp"
 #include "opt/passes.hpp"
 #include "util/error.hpp"
 #include "util/prng.hpp"
@@ -167,14 +169,19 @@ TEST(Flow, ThreadCountsAgree) {
   }
 }
 
-TEST(Flow, NaiveStrategyAgreesWithIndexed) {
+TEST(Flow, ExtractionAgreesWithTextbookReference) {
   const gf2m::Field field(Poly{8, 4, 3, 1, 0});
   const auto netlist = gen::generate_mastrovito(field);
-  FlowOptions naive;
-  naive.strategy = RewriteStrategy::NaiveScan;
-  const auto report = reverse_engineer(netlist, naive);
+  const auto report = reverse_engineer(netlist);
   EXPECT_TRUE(report.success);
   EXPECT_EQ(report.recovery.p, field.modulus());
+  const auto ports = nl::multiplier_ports(netlist);
+  ASSERT_EQ(report.extraction.anfs.size(), ports.z.bits.size());
+  for (std::size_t i = 0; i < ports.z.bits.size(); ++i) {
+    EXPECT_EQ(report.extraction.anfs[i],
+              test::textbook_anf(netlist, ports.z.bits[i]))
+        << "bit " << i;
+  }
 }
 
 TEST(Flow, CustomPortBases) {

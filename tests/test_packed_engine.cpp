@@ -1,5 +1,6 @@
-// Differential suite for the packed cone-local ANF engine: the Packed,
-// Indexed and NaiveScan backends must produce bit-exact identical ANFs on
+// Differential suite for the packed cone-local ANF engine: the Packed and
+// Indexed backends and the textbook reference (tests/helpers.hpp) must
+// produce bit-exact identical ANFs on
 // every generator family, the frozen fixtures, random netlists, and the
 // wide-cone spill path — plus unit coverage of the engine's representation
 // selection and open-addressed term table.
@@ -41,21 +42,19 @@ std::string data_path(const std::string& file) {
   return std::string(GFRE_SOURCE_DIR) + "/data/" + file;
 }
 
-/// Extracts every output with all three strategies and asserts bit-exact
-/// ANF equality (Packed vs Indexed vs NaiveScan).
+/// Extracts every output with both strategies and the textbook reference
+/// and asserts bit-exact ANF equality.
 void expect_strategies_agree(const nl::Netlist& netlist,
                              const std::string& label) {
   for (nl::Var out : netlist.outputs()) {
-    RewriteOptions packed, indexed, naive;
+    RewriteOptions packed, indexed;
     packed.strategy = RewriteStrategy::Packed;
     indexed.strategy = RewriteStrategy::Indexed;
-    naive.strategy = RewriteStrategy::NaiveScan;
     const Anf via_packed = extract_output_anf(netlist, out, packed);
     const Anf via_indexed = extract_output_anf(netlist, out, indexed);
     ASSERT_EQ(via_packed, via_indexed)
         << label << " output '" << netlist.var_name(out) << "'";
-    const Anf via_naive = extract_output_anf(netlist, out, naive);
-    ASSERT_EQ(via_packed, via_naive)
+    ASSERT_EQ(via_packed, test::textbook_anf(netlist, out))
         << label << " output '" << netlist.var_name(out) << "'";
   }
 }
@@ -163,10 +162,34 @@ TEST_P(PackedEngineWidths, SurvivesHeavyChurn) {
   EXPECT_EQ(got, reference);
 }
 
+TEST_P(PackedEngineWidths, ShorterProductAfterWiderOneCancels) {
+  // One substitution emits a degree-3 product, then a degree-2 one.  The
+  // Sparse tier reuses its product scratch, so the degree-2 value must not
+  // carry the degree-3 value's third slot: x4*x5 entered here has to
+  // cancel against the clean x4*x5 the last step emits.
+  const std::size_t num_slots = GetParam();
+  ConeEngine engine(num_slots, 20);
+  TermList terms;
+  terms.add_term({10});
+  terms.add_term({11});
+  engine.substitute(20, terms);  // F = x10 + x11
+  terms.clear();
+  terms.add_term({1, 2, 3});
+  terms.add_term({4, 5});
+  engine.substitute(11, terms);  // F = x10 + x1*x2*x3 + x4*x5
+  terms.clear();
+  terms.add_term({4, 5});
+  engine.substitute(10, terms);  // F = x1*x2*x3
+  const auto monos = engine.monomials();
+  ASSERT_EQ(monos.size(), 1u);
+  EXPECT_EQ(monos[0], (anf::packed::SlotMono{1, 2, 3}));
+  EXPECT_EQ(engine.cancellations(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllWidths, PackedEngineWidths,
                          ::testing::Values(std::size_t{50}, std::size_t{100},
-                                           std::size_t{200},
-                                           std::size_t{400}));
+                                           std::size_t{200}, std::size_t{400},
+                                           std::size_t{600}));
 
 // -- Differential: all generator families, m in 4..16 ----------------------
 
@@ -392,12 +415,12 @@ TEST(PackedEngine, ParallelExtractionDefaultsToPackedAndAgrees) {
 TEST(PackedEngine, StrategyNamesRoundTrip) {
   EXPECT_EQ(strategy_from_name("packed"), RewriteStrategy::Packed);
   EXPECT_EQ(strategy_from_name("Indexed"), RewriteStrategy::Indexed);
-  EXPECT_EQ(strategy_from_name("NAIVE"), RewriteStrategy::NaiveScan);
-  EXPECT_EQ(strategy_from_name("naivescan"), RewriteStrategy::NaiveScan);
   EXPECT_FALSE(strategy_from_name("bogus").has_value());
+  // The retired textbook backend's names no longer parse.
+  EXPECT_FALSE(strategy_from_name("naive").has_value());
+  EXPECT_FALSE(strategy_from_name("naivescan").has_value());
   for (const auto strategy :
-       {RewriteStrategy::Packed, RewriteStrategy::Indexed,
-        RewriteStrategy::NaiveScan}) {
+       {RewriteStrategy::Packed, RewriteStrategy::Indexed}) {
     EXPECT_EQ(strategy_from_name(to_string(strategy)), strategy);
   }
 }

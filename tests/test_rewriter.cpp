@@ -155,12 +155,10 @@ TEST(Rewriter, AllStrategiesAgree) {
       packed.strategy = RewriteStrategy::Packed;
       RewriteOptions indexed;
       indexed.strategy = RewriteStrategy::Indexed;
-      RewriteOptions naive;
-      naive.strategy = RewriteStrategy::NaiveScan;
       const auto via_packed = extract_output_anf(netlist, out, packed);
       EXPECT_EQ(via_packed, extract_output_anf(netlist, out, indexed))
           << "round " << round;
-      EXPECT_EQ(via_packed, extract_output_anf(netlist, out, naive))
+      EXPECT_EQ(via_packed, test::textbook_anf(netlist, out))
           << "round " << round;
     }
   }

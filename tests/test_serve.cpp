@@ -215,6 +215,22 @@ TEST(Wire, SubmitMessageRoundTripsTheJob) {
   EXPECT_EQ(back.options.z_base, "w");
   EXPECT_EQ(back.deadline_ms, 4500u);
   EXPECT_EQ(back.priority, core::JobPriority::High);
+
+  // Unknown strategy names are diagnosed, including the retired "naive".
+  for (const std::string strategy : {"warp", "naive"}) {
+    const WireObject bad = parse_wire_object(
+        R"({"op": "submit", "id": 8, "path": "x.eqn", "strategy": ")" +
+        strategy + R"("})");
+    try {
+      job_from_wire(bad);
+      FAIL() << "expected Error for strategy " << strategy;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown strategy '" + strategy +
+                                           "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-// Differential suite for the SIMD kernel layer and the arena-backed kernel
-// engine: every vector level compiled into the binary must be bit-identical
-// to the portable scalar fallback — at the word-kernel level (random
-// payloads, boundary word counts), at the engine level (every RepKind,
-// including widths straddling the 64- and 512-bit representation
-// boundaries), and at the whole-flow level (FlowReports across generator
-// families and thread counts).  Also unit-covers MonotonicArena/ArenaVector
-// and asserts the acceptance property that a cone extraction performs zero
-// steady-state heap allocations once the per-thread arena is warm.
+// Differential suite for the arena-backed packed cone engine: it must be
+// bit-identical to independent references — at the engine level against a
+// toggle-by-toggle anf::Anf replay (every RepKind, including widths
+// straddling the 64- and 512-bit representation boundaries), and at the
+// whole-flow level against the Indexed backend and the textbook reference
+// (FlowReports across generator families and thread counts).  Also
+// unit-covers MonotonicArena/ArenaVector and asserts the acceptance
+// property that a cone extraction performs zero steady-state heap
+// allocations once the per-thread arena is warm.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -17,7 +18,6 @@
 
 #include "anf/arena.hpp"
 #include "anf/packed.hpp"
-#include "anf/simd.hpp"
 #include "core/flow.hpp"
 #include "core/rewriter.hpp"
 #include "gen/karatsuba.hpp"
@@ -98,7 +98,6 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
 namespace gfre {
 namespace {
 
-namespace simd = anf::simd;
 using anf::MonotonicArena;
 using anf::ArenaVector;
 using anf::packed::ConeEngine;
@@ -106,156 +105,6 @@ using anf::packed::RepKind;
 using anf::packed::Slot;
 using anf::packed::SlotMono;
 using anf::packed::TermList;
-
-/// Restores the process-global kernel level on scope exit, so a failing
-/// assertion can't leak a forced level into later suites.
-class LevelGuard {
- public:
-  explicit LevelGuard(simd::Level level) : saved_(simd::active_level()) {
-    simd::set_level(level);
-  }
-  ~LevelGuard() { simd::set_level(saved_); }
-  LevelGuard(const LevelGuard&) = delete;
-  LevelGuard& operator=(const LevelGuard&) = delete;
-
- private:
-  simd::Level saved_;
-};
-
-/// Every level this binary can actually execute here, scalar included.
-std::vector<simd::Level> executable_levels() {
-  std::vector<simd::Level> levels{simd::Level::Scalar};
-  if (simd::detect_level() >= simd::Level::Avx2) {
-    levels.push_back(simd::Level::Avx2);
-  }
-  if (simd::detect_level() >= simd::Level::Avx512) {
-    levels.push_back(simd::Level::Avx512);
-  }
-  return levels;
-}
-
-// ---------------------------------------------------------------------------
-// Word-kernel differential: random payloads, every compiled level vs scalar
-// ---------------------------------------------------------------------------
-
-TEST(SimdKernels, ScalarTableIsAlwaysAvailable) {
-  ASSERT_NE(simd::kernels_for_level(simd::Level::Scalar), nullptr);
-  EXPECT_EQ(simd::to_string(simd::Level::Scalar), std::string("scalar"));
-  EXPECT_EQ(simd::to_string(simd::Level::Avx2), std::string("avx2"));
-  EXPECT_EQ(simd::to_string(simd::Level::Avx512), std::string("avx512"));
-}
-
-TEST(SimdKernels, TablesExistExactlyForExecutableLevels) {
-  for (simd::Level level : executable_levels()) {
-    EXPECT_NE(simd::kernels_for_level(level), nullptr)
-        << simd::to_string(level);
-  }
-  if (simd::detect_level() < simd::Level::Avx512) {
-    EXPECT_EQ(simd::kernels_for_level(simd::Level::Avx512), nullptr);
-  }
-}
-
-TEST(SimdKernels, TagProbesMatchScalarOnRandomGroups) {
-  const simd::Kernels& scalar = *simd::kernels_for_level(simd::Level::Scalar);
-  Prng rng(0x7a95);
-  for (simd::Level level : executable_levels()) {
-    const simd::Kernels& k = *simd::kernels_for_level(level);
-    for (int round = 0; round < 2000; ++round) {
-      // Tag bytes mix live hashes (0x00..0x7F), empty (0xFF) and tombstone
-      // (0x80) — exactly the values the control-tag table stores.
-      std::uint8_t tags[16];
-      for (auto& t : tags) {
-        const std::uint64_t r = rng.next_u64();
-        if ((r & 7u) == 0) {
-          t = 0xFF;
-        } else if ((r & 7u) == 1) {
-          t = 0x80;
-        } else {
-          t = static_cast<std::uint8_t>((r >> 3) & 0x7F);
-        }
-      }
-      const auto tag = static_cast<std::uint8_t>(rng.next_u64() & 0x7F);
-      EXPECT_EQ(k.match_tags16(tags, tag), scalar.match_tags16(tags, tag))
-          << simd::to_string(level) << " round " << round;
-      EXPECT_EQ(k.match_free16(tags), scalar.match_free16(tags))
-          << simd::to_string(level) << " round " << round;
-      EXPECT_EQ(k.probe_group(tags, tag), scalar.probe_group(tags, tag))
-          << simd::to_string(level) << " round " << round;
-    }
-  }
-}
-
-TEST(SimdKernels, ProbeGroupEncodesMatchEmptyFreeLanes) {
-  // Fixed group with every byte class at a known lane: the fused probe's
-  // three 16-bit fields must decode exactly.
-  std::uint8_t tags[16] = {};
-  for (unsigned i = 0; i < 16; ++i) tags[i] = 0x11;
-  tags[3] = 0x42;            // match lane
-  tags[7] = 0xFF;            // empty lane
-  tags[11] = 0x80;           // tombstone lane
-  for (simd::Level level : executable_levels()) {
-    const std::uint64_t probe =
-        simd::kernels_for_level(level)->probe_group(tags, 0x42);
-    EXPECT_EQ(probe & 0xFFFFu, 1u << 3) << simd::to_string(level);
-    EXPECT_EQ((probe >> 16) & 0xFFFFu, 1u << 7) << simd::to_string(level);
-    EXPECT_EQ((probe >> 32) & 0xFFFFu, (1u << 7) | (1u << 11))
-        << simd::to_string(level);
-  }
-}
-
-TEST(SimdKernels, WordKernelsMatchScalarAtBoundaryWordCounts) {
-  const simd::Kernels& scalar = *simd::kernels_for_level(simd::Level::Scalar);
-  Prng rng(0x51d);
-  // 1/2/4/8 words are the bitset tiers; 13 is the sparse rep's inline
-  // width; 3/5/7/9 straddle every vector register boundary (the AVX2 loop
-  // is 4 words per lane, AVX-512 is 8 plus a masked tail).
-  const std::size_t word_counts[] = {1, 2, 3, 4, 5, 7, 8, 9, 13, 16};
-  for (simd::Level level : executable_levels()) {
-    const simd::Kernels& k = *simd::kernels_for_level(level);
-    for (const std::size_t n : word_counts) {
-      for (int round = 0; round < 200; ++round) {
-        std::vector<std::uint64_t> a(n), b(n);
-        for (auto& w : a) w = rng.next_u64();
-        // Make equality non-trivially reachable: half the rounds copy a.
-        if ((round & 1) == 0) {
-          b = a;
-          if ((round & 3) == 2) b[rng.next_below(n)] ^= 1ull << (round % 64);
-        } else {
-          for (auto& w : b) w = rng.next_u64();
-        }
-        EXPECT_EQ(k.eq_words(a.data(), b.data(), n),
-                  scalar.eq_words(a.data(), b.data(), n))
-            << simd::to_string(level) << " n=" << n;
-        EXPECT_EQ(k.popcount_words(a.data(), n),
-                  scalar.popcount_words(a.data(), n))
-            << simd::to_string(level) << " n=" << n;
-        std::vector<std::uint64_t> got(n), want(n);
-        k.or_words(got.data(), a.data(), b.data(), n);
-        scalar.or_words(want.data(), a.data(), b.data(), n);
-        EXPECT_EQ(got, want) << simd::to_string(level) << " or n=" << n;
-        k.xor_words(got.data(), a.data(), b.data(), n);
-        scalar.xor_words(want.data(), a.data(), b.data(), n);
-        EXPECT_EQ(got, want) << simd::to_string(level) << " xor n=" << n;
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, SetLevelClampsToDetectedAndRestores) {
-  const simd::Level detected = simd::detect_level();
-  const simd::Level before = simd::active_level();
-  {
-    LevelGuard guard(simd::Level::Scalar);
-    EXPECT_EQ(simd::active_level(), simd::Level::Scalar);
-    // Requesting more than the CPU has clamps; requesting what it has
-    // round-trips.
-    EXPECT_EQ(simd::set_level(simd::Level::Avx512),
-              detected >= simd::Level::Avx512 ? simd::Level::Avx512
-                                              : detected);
-    EXPECT_EQ(simd::set_level(detected), detected);
-  }
-  EXPECT_EQ(simd::active_level(), before);
-}
 
 // ---------------------------------------------------------------------------
 // MonotonicArena / ArenaVector units
@@ -317,7 +166,7 @@ TEST(Arena, ArenaVectorGrowsAndSurvivesReset) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level differential: every representation tier, scalar vs SIMD
+// Engine-level differential: every representation tier vs an Anf replay
 // ---------------------------------------------------------------------------
 
 struct Step {
@@ -356,14 +205,11 @@ struct EngineRun {
   std::size_t size = 0;
   std::size_t cancellations = 0;
   std::size_t peak_terms = 0;
-  RepKind rep = RepKind::Bits64;
 };
 
 EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
-                     simd::Level level) {
-  LevelGuard guard(level);
+                     RepKind* rep) {
   ConeEngine engine(num_slots, static_cast<Slot>(num_slots - 1));
-  EXPECT_EQ(engine.level(), level) << "engine must snapshot the forced level";
   for (const Step& step : script) {
     engine.substitute(step.var, step.terms);
   }
@@ -373,30 +219,60 @@ EngineRun run_script(std::size_t num_slots, const std::vector<Step>& script,
   run.size = engine.size();
   run.cancellations = engine.cancellations();
   run.peak_terms = engine.peak_terms();
-  run.rep = engine.rep();
+  *rep = engine.rep();
+  return run;
+}
+
+/// The same script replayed toggle by toggle on anf::Anf, with slots as
+/// variables: shares no code with the packed engine, and counts mod-2
+/// cancellations and the peak exactly where the engine does.
+EngineRun run_reference(std::size_t num_slots,
+                        const std::vector<Step>& script) {
+  anf::Anf f = anf::Anf::var(static_cast<anf::Var>(num_slots - 1));
+  EngineRun run;
+  run.peak_terms = f.size();
+  for (const Step& step : script) {
+    std::vector<anf::Monomial> hits;
+    for (const anf::Monomial& m : f.monomials()) {
+      if (m.contains(step.var)) hits.push_back(m);
+    }
+    for (const anf::Monomial& hit : hits) {
+      f.toggle(hit);
+      const anf::Monomial rest = hit.without(step.var);
+      for (std::size_t t = 0; t < step.terms.term_count(); ++t) {
+        const std::vector<anf::Var> vars(step.terms.term_begin(t),
+                                         step.terms.term_end(t));
+        if (!f.toggle(rest.times(anf::Monomial::from_vars(vars)))) {
+          ++run.cancellations;
+        }
+      }
+    }
+    run.peak_terms = std::max(run.peak_terms, f.size());
+  }
+  for (const anf::Monomial& m : f.monomials()) {
+    run.monomials.emplace_back(m.vars().begin(), m.vars().end());
+  }
+  std::sort(run.monomials.begin(), run.monomials.end());
+  run.size = f.size();
   return run;
 }
 
 class EngineWidths : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(EngineWidths, EveryLevelMatchesScalarBitForBit) {
+TEST_P(EngineWidths, MatchesAnfReferenceBitForBit) {
   const std::size_t num_slots = GetParam();
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     const auto script = make_script(num_slots, seed * 0x9e37 + num_slots);
-    const EngineRun want = run_script(num_slots, script, simd::Level::Scalar);
-    EXPECT_EQ(want.rep, anf::packed::rep_for_cone(num_slots));
-    for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
-      const EngineRun got = run_script(num_slots, script, level);
-      const std::string label = std::string(simd::to_string(level)) +
-                                " slots=" + std::to_string(num_slots) +
-                                " seed=" + std::to_string(seed);
-      EXPECT_EQ(got.rep, want.rep) << label;
-      EXPECT_EQ(got.size, want.size) << label;
-      EXPECT_EQ(got.cancellations, want.cancellations) << label;
-      EXPECT_EQ(got.peak_terms, want.peak_terms) << label;
-      EXPECT_EQ(got.monomials, want.monomials) << label;
-    }
+    RepKind rep;
+    const EngineRun got = run_script(num_slots, script, &rep);
+    const EngineRun want = run_reference(num_slots, script);
+    const std::string label = "slots=" + std::to_string(num_slots) +
+                              " seed=" + std::to_string(seed);
+    EXPECT_EQ(rep, anf::packed::rep_for_cone(num_slots)) << label;
+    EXPECT_EQ(got.size, want.size) << label;
+    EXPECT_EQ(got.cancellations, want.cancellations) << label;
+    EXPECT_EQ(got.peak_terms, want.peak_terms) << label;
+    EXPECT_EQ(got.monomials, want.monomials) << label;
   }
 }
 
@@ -412,8 +288,8 @@ INSTANTIATE_TEST_SUITE_P(
                       std::size_t{513}, std::size_t{900}));
 
 // ---------------------------------------------------------------------------
-// Flow-level differential: FlowReports bit-identical across levels,
-// families and thread counts
+// Flow-level differential: packed FlowReports bit-identical to the Indexed
+// backend's across families and thread counts
 // ---------------------------------------------------------------------------
 
 struct FamilyCase {
@@ -421,7 +297,7 @@ struct FamilyCase {
   nl::Netlist (*generate)(const gf2m::Field&);
   unsigned m;
   // The squarer is not a two-operand multiplier, so the flow diagnoses it
-  // rather than succeeding — its *failure* report must be level-identical
+  // rather than succeeding — its *failure* report must be backend-identical
   // too.
   bool expect_success;
 };
@@ -442,39 +318,34 @@ nl::Netlist make_squarer(const gf2m::Field& f) {
   return gen::generate_squarer(f);
 }
 
-class SimdFlowFamilies : public ::testing::TestWithParam<FamilyCase> {};
+class EngineFlowFamilies : public ::testing::TestWithParam<FamilyCase> {};
 
-TEST_P(SimdFlowFamilies, ReportsBitIdenticalAcrossLevelsAndThreads) {
+TEST_P(EngineFlowFamilies, ReportsBitIdenticalToIndexedAcrossThreads) {
   const FamilyCase family = GetParam();
   const gf2m::Field field(gf2::has_paper_polynomial(family.m)
                               ? gf2::paper_polynomial(family.m).p
                               : gf2::default_irreducible(family.m));
   const auto netlist = family.generate(field);
+  core::FlowOptions indexed;
+  indexed.threads = 1;
+  indexed.strategy = core::RewriteStrategy::Indexed;
+  const core::FlowReport want = core::reverse_engineer(netlist, indexed);
+  EXPECT_EQ(want.success, family.expect_success) << family.name;
   for (unsigned threads : {1u, 4u}) {
     core::FlowOptions options;
     options.threads = threads;
-    core::FlowReport want;
-    {
-      LevelGuard guard(simd::Level::Scalar);
-      want = core::reverse_engineer(netlist, options);
-    }
-    EXPECT_EQ(want.success, family.expect_success) << family.name;
-    for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
-      LevelGuard guard(level);
-      const auto got = core::reverse_engineer(netlist, options);
-      test::expect_reports_equal(
-          got, want,
-          std::string(family.name) + " m=" + std::to_string(family.m) + " " +
-              simd::to_string(level) + " threads=" + std::to_string(threads));
-    }
+    const auto got = core::reverse_engineer(netlist, options);
+    test::expect_reports_equal(got, want,
+                               std::string(family.name) +
+                                   " m=" + std::to_string(family.m) +
+                                   " threads=" + std::to_string(threads));
   }
 }
 
 // m=16 puts montgomery/karatsuba cones into the multi-word tiers; the
 // small widths keep the whole sweep fast.
 INSTANTIATE_TEST_SUITE_P(
-    AllFamilies, SimdFlowFamilies,
+    AllFamilies, EngineFlowFamilies,
     ::testing::Values(FamilyCase{"mastrovito", &make_mastrovito, 12, true},
                       FamilyCase{"montgomery", &make_montgomery, 16, true},
                       FamilyCase{"karatsuba", &make_karatsuba, 16, true},
@@ -501,26 +372,25 @@ nl::Netlist xor_chain(unsigned num_inputs, unsigned num_gates) {
   return netlist;
 }
 
-TEST(SimdFlow, Bits512AndSparseConesMatchScalar) {
-  // 400 gates -> Bits512 tier; 700 gates -> Sparse spill.  Both must be
-  // level-independent through the real extraction path.
+TEST(EngineFlow, Bits512AndSparseConesMatchReferences) {
+  // 400 gates -> Bits512 tier; 700 gates -> Sparse spill.  Both must match
+  // the Indexed backend and the textbook reference through the real
+  // extraction path, statistics included.
   for (unsigned gates : {400u, 700u}) {
     const auto netlist = xor_chain(8, gates);
-    core::RewriteOptions options;
-    options.strategy = core::RewriteStrategy::Packed;
-    anf::Anf want;
-    {
-      LevelGuard guard(simd::Level::Scalar);
-      want = core::extract_output_anf(netlist, netlist.outputs()[0], options);
-    }
-    for (simd::Level level : executable_levels()) {
-      if (level == simd::Level::Scalar) continue;
-      LevelGuard guard(level);
-      const auto got =
-          core::extract_output_anf(netlist, netlist.outputs()[0], options);
-      EXPECT_EQ(got, want)
-          << simd::to_string(level) << " gates=" << gates;
-    }
+    const nl::Var out = netlist.outputs()[0];
+    core::RewriteOptions packed, indexed;
+    packed.strategy = core::RewriteStrategy::Packed;
+    indexed.strategy = core::RewriteStrategy::Indexed;
+    core::RewriteStats got_stats, want_stats;
+    const auto got = core::extract_output_anf(netlist, out, packed, &got_stats);
+    const auto want =
+        core::extract_output_anf(netlist, out, indexed, &want_stats);
+    EXPECT_EQ(got, want) << "gates=" << gates;
+    EXPECT_EQ(got, test::textbook_anf(netlist, out)) << "gates=" << gates;
+    EXPECT_EQ(got_stats.substitutions, want_stats.substitutions);
+    EXPECT_EQ(got_stats.cancellations, want_stats.cancellations);
+    EXPECT_EQ(got_stats.peak_terms, want_stats.peak_terms);
   }
 }
 
@@ -528,12 +398,7 @@ TEST(SimdFlow, Bits512AndSparseConesMatchScalar) {
 // Acceptance: zero steady-state heap allocations per cone
 // ---------------------------------------------------------------------------
 
-TEST(SimdEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
-  if (simd::detect_level() == simd::Level::Scalar) {
-    GTEST_SKIP() << "kernel engine (arena-backed) needs a vector level; the "
-                    "scalar fallback engine is deliberately untouched";
-  }
-  LevelGuard guard(simd::detect_level());
+TEST(ArenaEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
   // A wide-enough script to force table growth and occurrence-bucket
   // churn, prebuilt so the measured loop touches no std::vector growth.
   const std::size_t num_slots = 300;
@@ -555,13 +420,13 @@ TEST(SimdEngine, ConeExtractionIsAllocationFreeAfterWarmup) {
   const std::size_t size2 = run_cone();
   const std::size_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "kernel-engine cone extraction must be allocation-free after "
+      << "cone extraction must be allocation-free after "
          "arena warmup";
   EXPECT_EQ(size1, warm_size);
   EXPECT_EQ(size2, warm_size);
 }
 
-TEST(SimdEngine, AllocationCounterHookIsLive) {
+TEST(ArenaEngine, AllocationCounterHookIsLive) {
   // Guards the acceptance test above against silently measuring nothing
   // (e.g. the replacement operators not being linked in).
   const std::size_t before = g_allocations.load(std::memory_order_relaxed);
