@@ -8,7 +8,7 @@
 // individually, and reset() rewinds to the first chunk while *keeping*
 // the chunk chain — so the second cone on a thread reuses the first
 // cone's memory and performs zero steady-state heap allocations (the
-// acceptance property tests/test_simd_kernels.cpp asserts).
+// acceptance property tests/test_arena_engine.cpp asserts).
 //
 // ArenaVector<T> is the minimal growable array over an arena for
 // trivially-copyable T: grow abandons the old block (monotonic arenas

@@ -70,30 +70,38 @@ std::optional<nl::MultiplierPorts> resolve_flow_ports(
       failure->success = false;
     }
   };
+  std::optional<nl::MultiplierPorts> ports;
   if (options.infer_ports) {
     // Port inference is a discovery heuristic over arbitrary input data, so
     // its failure is a flow outcome (success=false + diagnosis), not an API
     // misuse like asking for explicitly named ports that do not exist.
-    auto inferred = nl::infer_multiplier_ports(netlist);
-    if (!inferred.has_value()) {
+    ports = nl::infer_multiplier_ports(netlist);
+    if (!ports.has_value()) {
       fail("netlist '" + netlist.name() +
            "' does not expose a two-operand word-level multiplier interface "
            "(inputs must group into two same-width word ports and outputs "
            "into one)");
       return std::nullopt;
     }
-    return inferred;
+  } else {
+    // Named ports: missing or mis-sized words are likewise a flow outcome —
+    // fuzzed mutants drop/duplicate output nets and batch manifests point
+    // at arbitrary files, and neither may take the process down.
+    try {
+      ports = nl::multiplier_ports(netlist, options.a_base, options.b_base,
+                                   options.z_base);
+    } catch (const Error& e) {
+      fail(e.what());
+      return std::nullopt;
+    }
   }
-  // Named ports: missing or mis-sized words are likewise a flow outcome —
-  // fuzzed mutants drop/duplicate output nets and batch manifests point at
-  // arbitrary files, and neither may take the process down.
-  try {
-    return nl::multiplier_ports(netlist, options.a_base, options.b_base,
-                                options.z_base);
-  } catch (const Error& e) {
-    fail(e.what());
+  // Algorithm 2 reads S_m, which a 1-bit word does not have.
+  if (ports->m() < 2) {
+    fail("the multiplier interface is 1 bit wide; recovering P(x) needs "
+         "m >= 2");
     return std::nullopt;
   }
+  return ports;
 }
 
 FlowReport extraction_failure_report(const nl::Netlist& netlist,

@@ -1,40 +1,27 @@
 #include "core/permutation.hpp"
 
 #include "core/poly_extract.hpp"
-#include "util/error.hpp"
 
 namespace gfre::core {
 
 std::optional<std::vector<unsigned>> recover_output_order(
     const std::vector<anf::Anf>& anfs, const nl::MultiplierPorts& ports) {
   const unsigned m = ports.m();
-  GFRE_ASSERT(anfs.size() == m,
-              "expected " << m << " output ANFs, got " << anfs.size());
+  const ProductMatrix matrix = product_matrix(anfs, ports);
+  // A split in-field set is not a clean product structure.
+  if (matrix.first_split && matrix.first_split->k < m) return std::nullopt;
 
-  // For each output, the set of in-field k (k < m) whose S_k it contains
-  // completely must be a singleton {k}; that k is the bit position.
-  std::vector<unsigned> order(m, m);  // order[bit] = anf index
-  std::vector<bool> claimed(m, false);
-  for (unsigned out = 0; out < m; ++out) {
-    std::optional<unsigned> position;
-    for (unsigned k = 0; k < m; ++k) {
-      const auto set = product_set(ports, k);
-      switch (product_set_membership(anfs[out], set)) {
-        case SetMembership::All:
-          if (position.has_value()) return std::nullopt;  // two claims
-          position = k;
-          break;
-        case SetMembership::None:
-          break;
-        case SetMembership::Mixed:
-          return std::nullopt;  // not a clean product structure
-      }
-    }
-    if (!position.has_value()) return std::nullopt;  // no claim
-    if (claimed[*position]) return std::nullopt;     // duplicate bit
-    claimed[*position] = true;
-    order[*position] = out;
+  // The in-field rows k < m must form a permutation matrix: S_k is held by
+  // exactly one output, and no output holds two of them.
+  std::vector<unsigned> order(m);  // order[bit] = anf index
+  gf2::Poly claimed;  // sum of the rows: weight m iff no output repeats
+  for (unsigned k = 0; k < m; ++k) {
+    const gf2::Poly& row = matrix.rows[k];
+    if (row.weight() != 1) return std::nullopt;  // no claim, or two
+    order[k] = static_cast<unsigned>(row.degree());
+    claimed += row;
   }
+  if (claimed.weight() != m) return std::nullopt;
   return order;
 }
 

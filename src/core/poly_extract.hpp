@@ -8,6 +8,8 @@
 // bit i's ANF (and x^m is always a term).
 #pragma once
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "anf/anf.hpp"
@@ -22,15 +24,26 @@ namespace gfre::core {
 std::vector<anf::Monomial> product_set(const nl::MultiplierPorts& ports,
                                        unsigned k);
 
-/// Membership of a product set in one ANF.
-enum class SetMembership {
-  None,   ///< no monomial of the set occurs
-  All,    ///< every monomial occurs
-  Mixed,  ///< some but not all occur — not a clean GF(2^m) multiplier
+/// Which product sets each output bit's ANF holds — the one question of
+/// Algorithm 2, the reduction matrix and output-order recovery.
+struct ProductMatrix {
+  /// rows[k].coeff(i) == 1 iff ANF i holds all of S_k, k in [0, 2m-2].
+  std::vector<gf2::Poly> rows;
+  /// The first S_k (smallest k, then smallest bit) an ANF holds in part.
+  struct Split {
+    unsigned k = 0;
+    unsigned bit = 0;
+  };
+  std::optional<Split> first_split;
+  /// Diagnosis of the first monomial, in bit order, that is not a_i*b_j
+  /// for exactly one pair (i, j); empty when there is none.
+  std::string non_bilinear;
 };
 
-SetMembership product_set_membership(const anf::Anf& anf,
-                                     const std::vector<anf::Monomial>& set);
+/// Reads the matrix in one pass over every ANF's monomials.  `anfs[i]`
+/// must be the ANF of output bit i, and m >= 2.
+ProductMatrix product_matrix(const std::vector<anf::Anf>& anfs,
+                             const nl::MultiplierPorts& ports);
 
 /// Algorithm 2 verbatim: P(x) = x^m + sum { x^i : P_m fully contained in
 /// ANF of z_i }.  `anfs[i]` must be the ANF of output bit i.

@@ -1,10 +1,7 @@
 #include "core/redmatrix.hpp"
 
-#include <unordered_map>
-
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
-#include "util/error.hpp"
 
 namespace gfre::core {
 
@@ -20,90 +17,42 @@ std::string to_string(CircuitClass c) {
   return "?";
 }
 
-namespace {
-
-/// Checks that every monomial of every ANF is a product a_i * b_j of one
-/// bit of each operand.  Returns a diagnosis string on violation.
-std::string check_bilinear(const std::vector<Anf>& anfs,
-                           const nl::MultiplierPorts& ports) {
-  enum class Side : std::uint8_t { A, B };
-  std::unordered_map<anf::Var, Side> side;
-  for (anf::Var v : ports.a.bits) side[v] = Side::A;
-  for (anf::Var v : ports.b.bits) side[v] = Side::B;
-
-  for (std::size_t i = 0; i < anfs.size(); ++i) {
-    for (const auto& monomial : anfs[i].monomials()) {
-      if (monomial.degree() != 2) {
-        return "output bit " + std::to_string(i) +
-               " has a non-bilinear monomial of degree " +
-               std::to_string(monomial.degree());
-      }
-      const auto sa = side.find(monomial.vars()[0]);
-      const auto sb = side.find(monomial.vars()[1]);
-      if (sa == side.end() || sb == side.end() ||
-          sa->second == sb->second) {
-        return "output bit " + std::to_string(i) +
-               " mixes operand sides in a monomial";
-      }
-    }
-  }
-  return "";
-}
-
-}  // namespace
-
 RecoveryReport recover_reduction_matrix(const std::vector<Anf>& anfs,
                                         const nl::MultiplierPorts& ports) {
   const unsigned m = ports.m();
-  GFRE_ASSERT(m >= 2, "need m >= 2");
-  GFRE_ASSERT(anfs.size() == m,
-              "expected " << m << " output ANFs, got " << anfs.size());
+  ProductMatrix matrix = product_matrix(anfs, ports);
 
   RecoveryReport report;
-
-  if (std::string why = check_bilinear(anfs, ports); !why.empty()) {
-    report.diagnosis = why;
+  if (!matrix.non_bilinear.empty()) {
+    report.diagnosis = std::move(matrix.non_bilinear);
     return report;
   }
 
-  // Membership matrix: rows[k].coeff(i) = does S_k feed output bit i?
-  report.rows.assign(2 * m - 1, Poly{});
-  for (unsigned k = 0; k <= 2 * m - 2; ++k) {
-    const auto set = product_set(ports, k);
-    for (unsigned i = 0; i < m; ++i) {
-      switch (product_set_membership(anfs[i], set)) {
-        case SetMembership::All:
-          report.rows[k].set_coeff(i, true);
-          break;
-        case SetMembership::None:
-          break;
-        case SetMembership::Mixed:
-          report.diagnosis = "product set S_" + std::to_string(k) +
-                             " is split across output bit " +
-                             std::to_string(i) +
-                             " — inconsistent GF(2^m) reduction";
-          return report;
-      }
+  // rows[k].coeff(i) = does S_k feed output bit i?
+  report.rows = std::move(matrix.rows);
+  if (const auto split = matrix.first_split) {
+    // Rows past the split are not trusted: keep only the memberships a
+    // k-major scan reads before reaching it.
+    for (unsigned i = split->bit; i < m; ++i) {
+      report.rows[split->k].set_coeff(i, false);
     }
+    for (unsigned k = split->k + 1; k <= 2 * m - 2; ++k) report.rows[k] = {};
+    report.diagnosis = "product set S_" + std::to_string(split->k) +
+                       " is split across output bit " +
+                       std::to_string(split->bit) +
+                       " — inconsistent GF(2^m) reduction";
+    return report;
   }
 
   // Classification by the identity half of the matrix.
-  bool low_identity = true;  // rows[k] == x^k for k < m  (plain product)
-  for (unsigned k = 0; k < m; ++k) {
-    if (report.rows[k] != Poly::monomial(k)) {
-      low_identity = false;
-      break;
+  const auto identity = [&](unsigned first, unsigned last) {
+    for (unsigned k = first; k <= last; ++k) {
+      if (report.rows[k] != Poly::monomial(k - first)) return false;
     }
-  }
-  bool high_identity = true;  // rows[k] == x^(k-m) for k >= m  (raw Mont.)
-  for (unsigned k = m; k <= 2 * m - 2; ++k) {
-    if (report.rows[k] != Poly::monomial(k - m)) {
-      high_identity = false;
-      break;
-    }
-  }
+    return true;
+  };
 
-  if (low_identity) {
+  if (identity(0, m - 1)) {  // rows[k] == x^k for k < m
     // Standard product: row m is P'(x) = P(x) - x^m (Theorem 3).
     report.circuit_class = CircuitClass::StandardProduct;
     report.p = report.rows[m] + Poly::monomial(m);
@@ -131,14 +80,11 @@ RecoveryReport recover_reduction_matrix(const std::vector<Anf>& anfs,
     return report;
   }
 
-  if (high_identity) {
+  if (identity(m, 2 * m - 2)) {  // rows[k] == x^(k-m) for k >= m
     // Raw Montgomery: Z = A*B*x^(-m) mod P.  Row m-1 is x^(-1) mod P =
     // (P(x)+1)/x, so p_{j+1} = rows[m-1].coeff(j) and p_0 = 1.
     report.circuit_class = CircuitClass::MontgomeryRaw;
-    Poly p = Poly::one();
-    for (unsigned j = 0; j < m; ++j) {
-      if (report.rows[m - 1].coeff(j)) p.flip_coeff(j + 1);
-    }
+    const Poly p = (report.rows[m - 1] << 1) + Poly::one();
     report.p = p;
     if (p.degree() != static_cast<int>(m)) {
       report.diagnosis = "raw-Montgomery row m-1 does not encode a degree-" +

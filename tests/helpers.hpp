@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/flow.hpp"
+#include "core/poly_extract.hpp"
 #include "netlist/cell.hpp"
 #include "netlist/netlist.hpp"
 #include "sim/simulator.hpp"
@@ -57,6 +59,77 @@ inline void expect_reports_equal(const core::FlowReport& got,
     EXPECT_EQ(g.peak_terms, w.peak_terms) << label << " bit " << i;
     EXPECT_EQ(g.final_terms, w.final_terms) << label << " bit " << i;
   }
+}
+
+/// Multiplier ports over bare variable ids — a_i = i, b_j = 1000 + j,
+/// z_i = 2000 + i — for spec-level tests that need no netlist (m < 1000).
+inline nl::MultiplierPorts fake_ports(unsigned m) {
+  nl::WordPort a, b, z;
+  a.base = "a";
+  b.base = "b";
+  z.base = "z";
+  for (unsigned i = 0; i < m; ++i) {
+    a.bits.push_back(i);
+    b.bits.push_back(1000 + i);
+    z.bits.push_back(2000 + i);
+  }
+  return nl::MultiplierPorts{a, b, z};
+}
+
+/// z0 = AND(a0, b0): a well-formed 1-bit multiplier interface, below
+/// Algorithm 2's m >= 2.
+inline nl::Netlist one_bit_and() {
+  nl::Netlist netlist("one_bit_and");
+  const nl::Var a = netlist.add_input("a0");
+  const nl::Var b = netlist.add_input("b0");
+  netlist.mark_output(netlist.add_gate(nl::CellType::And, {a, b}, "z0"));
+  return netlist;
+}
+
+/// Reference for core::product_matrix by direct probing: S_k belongs to row
+/// k of bit i iff Anf::contains finds every monomial product_set lists, a
+/// split is the first (k, bit) in k-major order holding some but not all,
+/// and a monomial is bilinear iff it has degree 2 and the product sets list
+/// it exactly once.
+inline core::ProductMatrix probe_product_matrix(
+    const std::vector<anf::Anf>& anfs, const nl::MultiplierPorts& ports) {
+  const unsigned m = ports.m();
+  core::ProductMatrix matrix;
+  std::unordered_map<anf::Monomial, unsigned, anf::MonomialHash> listed;
+  for (unsigned k = 0; k <= 2 * m - 2; ++k) {
+    for (const auto& monomial : core::product_set(ports, k)) ++listed[monomial];
+  }
+  for (unsigned i = 0; i < m && matrix.non_bilinear.empty(); ++i) {
+    for (const auto& monomial : anfs[i].monomials()) {
+      if (monomial.degree() != 2) {
+        matrix.non_bilinear = "output bit " + std::to_string(i) +
+                              " has a non-bilinear monomial of degree " +
+                              std::to_string(monomial.degree());
+        break;
+      }
+      const auto it = listed.find(monomial);
+      if (it == listed.end() || it->second != 1) {
+        matrix.non_bilinear =
+            "output bit " + std::to_string(i) +
+            " mixes operand sides in a monomial";
+        break;
+      }
+    }
+  }
+  matrix.rows.assign(2 * m - 1, gf2::Poly{});
+  for (unsigned k = 0; k <= 2 * m - 2; ++k) {
+    const auto set = core::product_set(ports, k);
+    for (unsigned i = 0; i < m; ++i) {
+      std::size_t present = 0;
+      for (const auto& monomial : set) present += anfs[i].contains(monomial);
+      if (present == set.size()) {
+        matrix.rows[k].set_coeff(i, true);
+      } else if (present != 0 && !matrix.first_split) {
+        matrix.first_split = core::ProductMatrix::Split{k, i};
+      }
+    }
+  }
+  return matrix;
 }
 
 /// Textbook reading of Algorithm 1: substitute every cone gate, in reverse

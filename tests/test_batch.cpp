@@ -41,7 +41,8 @@ using test::expect_reports_equal;
 
 /// The mixed workload: all five generator families in memory, frozen
 /// fixtures from disk in every format, a scrambled-output bus, a
-/// non-multiplier squarer interface, a corrupt netlist and a missing file.
+/// non-multiplier squarer interface, a 1-bit interface, a corrupt netlist
+/// and a missing file.
 std::vector<BatchJob> mixed_manifest(RewriteStrategy strategy) {
   std::vector<BatchJob> jobs;
   const auto add_memory = [&](std::string name, nl::Netlist netlist) {
@@ -75,6 +76,7 @@ std::vector<BatchJob> mixed_manifest(RewriteStrategy strategy) {
                test::scramble_outputs(gen::generate_mastrovito(field),
                                       {3, 1, 4, 7, 6, 0, 2, 5}));
   }
+  add_memory("one_bit_and", test::one_bit_and());
   add_file("mastrovito_m8.eqn");
   add_file("montgomery_m8.blif");
   add_file("karatsuba_m8.v");

@@ -40,6 +40,22 @@ nl::Netlist bitwise_xor_circuit(unsigned m) {
   return netlist;
 }
 
+TEST(FlowFailures, OneBitMultiplierIsDiagnosedBeforeAnalysis) {
+  for (const bool infer : {false, true}) {
+    FlowOptions options;
+    options.infer_ports = infer;
+    core::FlowReport report;
+    ASSERT_NO_THROW(report = reverse_engineer(test::one_bit_and(), options));
+    EXPECT_FALSE(report.success);
+    EXPECT_EQ(report.recovery.circuit_class,
+              core::CircuitClass::NotAMultiplier);
+    EXPECT_EQ(report.recovery.diagnosis,
+              "the multiplier interface is 1 bit wide; recovering P(x) "
+              "needs m >= 2");
+    EXPECT_NE(report.summary().find("FAILED"), std::string::npos);
+  }
+}
+
 TEST(FlowFailures, BitwiseXorIsRejectedWithDiagnosis) {
   const auto report = reverse_engineer(bitwise_xor_circuit(4));
   EXPECT_FALSE(report.success);

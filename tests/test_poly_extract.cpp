@@ -4,11 +4,13 @@
 
 #include "core/parallel_extract.hpp"
 #include "core/poly_extract.hpp"
-#include "util/error.hpp"
 #include "core/verify.hpp"
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
+#include "helpers.hpp"
+#include "util/error.hpp"
+#include "util/prng.hpp"
 
 namespace gfre::core {
 namespace {
@@ -17,20 +19,7 @@ using anf::Anf;
 using anf::Monomial;
 using gf2::Poly;
 
-nl::MultiplierPorts fake_ports(unsigned m) {
-  // Variables: a_i = i, b_j = 100 + j — no netlist needed for spec-level
-  // tests.
-  nl::WordPort a, b, z;
-  a.base = "a";
-  b.base = "b";
-  z.base = "z";
-  for (unsigned i = 0; i < m; ++i) {
-    a.bits.push_back(i);
-    b.bits.push_back(100 + i);
-    z.bits.push_back(200 + i);
-  }
-  return nl::MultiplierPorts{a, b, z};
-}
+using test::fake_ports;
 
 TEST(ProductSet, ContentsMatchDefinition) {
   const auto ports = fake_ports(4);
@@ -44,7 +33,7 @@ TEST(ProductSet, ContentsMatchDefinition) {
   for (const auto& monomial : p_m) {
     ASSERT_EQ(monomial.degree(), 2u);
     const unsigned i = monomial.vars()[0];
-    const unsigned j = monomial.vars()[1] - 100;
+    const unsigned j = monomial.vars()[1] - 1000;
     EXPECT_EQ(i + j, 4u);
     EXPECT_GE(i, 1u);
     EXPECT_LE(i, 3u);
@@ -64,17 +53,71 @@ TEST(ProductSet, SetsPartitionAllProducts) {
   EXPECT_EQ(total, std::size_t{m} * m);
 }
 
-TEST(ProductSet, MembershipClassification) {
-  const auto ports = fake_ports(3);
-  const auto set = product_set(ports, 3);  // {a1b2, a2b1}
-  Anf none = Anf::var(0);
-  EXPECT_EQ(product_set_membership(none, set), SetMembership::None);
-  Anf all;
-  for (const auto& monomial : set) all.toggle(monomial);
-  EXPECT_EQ(product_set_membership(all, set), SetMembership::All);
-  Anf mixed;
-  mixed.toggle(set[0]);
-  EXPECT_EQ(product_set_membership(mixed, set), SetMembership::Mixed);
+void expect_same_matrix(const ProductMatrix& got, const ProductMatrix& want,
+                        const std::string& label) {
+  EXPECT_EQ(got.rows, want.rows) << label;
+  ASSERT_EQ(got.first_split.has_value(), want.first_split.has_value())
+      << label;
+  if (got.first_split) {
+    EXPECT_EQ(got.first_split->k, want.first_split->k) << label;
+    EXPECT_EQ(got.first_split->bit, want.first_split->bit) << label;
+  }
+  EXPECT_EQ(got.non_bilinear, want.non_bilinear) << label;
+}
+
+/// Random ANFs over `ports`: a random reduction matrix of full product sets,
+/// then — each with probability 1/4 — split sets, same-side products,
+/// non-port variables and monomials of degree 0, 1 or 3.
+std::vector<Anf> random_anfs(Prng& rng, const nl::MultiplierPorts& ports) {
+  const unsigned m = ports.m();
+  std::vector<Anf> anfs(m);
+  for (unsigned k = 0; k <= 2 * m - 2; ++k) {
+    for (unsigned i = 0; i < m; ++i) {
+      if (rng.next_below(3) != 0) continue;
+      for (const auto& monomial : product_set(ports, k)) {
+        anfs[i].toggle(monomial);
+      }
+    }
+  }
+  const auto chance = [&] { return rng.next_below(4) == 0; };
+  const auto any_bit = [&] { return unsigned(rng.next_below(m)); };
+  const auto a = [&] { return ports.a.bits[rng.next_below(m)]; };
+  if (chance()) {  // split sets: toggle single products of random S_k
+    for (unsigned n = 1 + rng.next_below(3); n-- > 0;) {
+      const auto set = product_set(ports, rng.next_below(2 * m - 1));
+      anfs[any_bit()].toggle(set[rng.next_below(set.size())]);
+    }
+  }
+  if (chance()) anfs[any_bit()].toggle(Monomial::from_vars({a(), a()}));
+  if (chance()) anfs[any_bit()].toggle(Monomial::from_vars({a(), 5000}));
+  if (chance()) anfs[any_bit()].toggle(Monomial{});
+  if (chance()) anfs[any_bit()].toggle(Monomial(a()));
+  if (chance()) {
+    anfs[any_bit()].toggle(
+        Monomial::from_vars({a(), ports.b.bits[rng.next_below(m)], 5001}));
+  }
+  return anfs;
+}
+
+TEST(ProductMatrix, MatchesProbeReference) {
+  Prng rng(2017);
+  for (unsigned m = 2; m <= 16; ++m) {
+    std::vector<nl::MultiplierPorts> shapes(4, fake_ports(m));
+    std::swap(shapes[1].a, shapes[1].b);  // the `--ports b,a,z` shape
+    shapes[2].b = shapes[2].a;            // the `--ports a,a,z` shape
+    shapes[3].b.bits[0] = shapes[3].a.bits[m - 1];  // one shared net
+    for (std::size_t shape = 0; shape < shapes.size(); ++shape) {
+      const auto& ports = shapes[shape];
+      for (unsigned trial = 0; trial < 20; ++trial) {
+        const auto anfs = random_anfs(rng, ports);
+        expect_same_matrix(product_matrix(anfs, ports),
+                           test::probe_product_matrix(anfs, ports),
+                           "m=" + std::to_string(m) + " shape " +
+                               std::to_string(shape) + " trial " +
+                               std::to_string(trial));
+      }
+    }
+  }
 }
 
 // Recovery from golden spec ANFs, exhaustively over every irreducible
@@ -119,6 +162,9 @@ TEST(Theorem3, WidthMismatchRejected) {
   const auto ports = fake_ports(4);
   std::vector<Anf> wrong(3);
   EXPECT_THROW(recover_irreducible(wrong, ports), Error);
+  // m = 1 has no S_m to read.
+  EXPECT_THROW(recover_irreducible(std::vector<Anf>(1), fake_ports(1)),
+               Error);
 }
 
 TEST(GoldenAnfs, MatchTextbookGf24Example) {

@@ -9,6 +9,7 @@
 #include "gen/montgomery_gate.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
+#include "helpers.hpp"
 
 namespace gfre::core {
 namespace {
@@ -17,21 +18,14 @@ using anf::Anf;
 using anf::Monomial;
 using gf2::Poly;
 
-nl::MultiplierPorts fake_ports(unsigned m) {
-  nl::WordPort a, b, z;
-  a.base = "a";
-  b.base = "b";
-  z.base = "z";
-  for (unsigned i = 0; i < m; ++i) {
-    a.bits.push_back(i);
-    b.bits.push_back(100 + i);
-    z.bits.push_back(200 + i);
-  }
-  return nl::MultiplierPorts{a, b, z};
-}
+using test::fake_ports;
+
+// NIST B-163's pentanomial: golden ANFs at a crypto-scale m.
+const Poly kB163{163, 7, 6, 3, 0};
 
 TEST(RedMatrix, StandardProductClassification) {
-  for (const Poly& p : {Poly{4, 1, 0}, Poly{8, 4, 3, 1, 0}, Poly{11, 2, 0}}) {
+  for (const Poly& p :
+       {Poly{4, 1, 0}, Poly{8, 4, 3, 1, 0}, Poly{11, 2, 0}, kB163}) {
     const gf2m::Field field(p);
     const auto ports = fake_ports(field.m());
     const auto report =
@@ -48,7 +42,8 @@ TEST(RedMatrix, StandardProductClassification) {
 }
 
 TEST(RedMatrix, MontgomeryRawClassification) {
-  for (const Poly& p : {Poly{4, 1, 0}, Poly{8, 4, 3, 1, 0}, Poly{13, 4, 3, 1, 0}}) {
+  for (const Poly& p :
+       {Poly{4, 1, 0}, Poly{8, 4, 3, 1, 0}, Poly{13, 4, 3, 1, 0}, kB163}) {
     const gf2m::Field field(p);
     const auto ports = fake_ports(field.m());
     const auto spec = golden_anfs(field, ports, /*montgomery_raw=*/true);
@@ -111,6 +106,11 @@ TEST(RedMatrix, RejectsSplitProductSet) {
   const auto report = recover_reduction_matrix(spec, ports);
   EXPECT_EQ(report.circuit_class, CircuitClass::NotAMultiplier);
   EXPECT_NE(report.diagnosis.find("split"), std::string::npos);
+  // Rows read before the split in k-major order are kept; row 4 (whose bit
+  // 1 holds S_4 completely) and everything after it are not.
+  ASSERT_EQ(report.rows.size(), 7u);
+  for (unsigned k = 0; k < 4; ++k) EXPECT_EQ(report.rows[k], Poly::monomial(k));
+  for (unsigned k = 4; k <= 6; ++k) EXPECT_EQ(report.rows[k], Poly{});
 }
 
 TEST(RedMatrix, FlagsReducibleModulus) {
