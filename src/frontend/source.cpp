@@ -1,5 +1,6 @@
 #include "frontend/source.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -28,13 +29,51 @@ void rstrip(std::string& s) {
     s.pop_back();
 }
 
+constexpr std::string_view kLineSpace = " \t\r";
+
 }  // namespace
+
+std::optional<std::string_view> LineScanner::plain_line(
+    std::string_view line) const {
+  if (syntax_.hash_comments && line.find('#') != std::string_view::npos)
+    return std::nullopt;
+  for (std::size_t slash = line.find('/');
+       slash != std::string_view::npos && slash + 1 < line.size();
+       slash = line.find('/', slash + 1)) {
+    const char c = line[slash + 1];
+    if ((syntax_.slash_comments && c == '/') ||
+        (syntax_.block_comments && c == '*'))
+      return std::nullopt;
+  }
+  const std::size_t last = line.find_last_not_of(kLineSpace);
+  line = line.substr(0, last == std::string_view::npos ? 0 : last + 1);
+  if (syntax_.backslash_continuation && !line.empty() && line.back() == '\\')
+    return std::nullopt;
+  return line;
+}
 
 std::optional<LogicalLine> LineScanner::next() {
   while (pos_ < text_.size() || in_block_comment_) {
     if (in_block_comment_ && pos_ >= text_.size()) break;
-    std::string out;
     const int start_line = line_;
+    // Fast path: a line with nothing to strip or join is returned as a
+    // view into text_, without a copy.
+    const std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
+    const auto plain = in_block_comment_
+                           ? std::nullopt
+                           : plain_line(text_.substr(pos_, eol - pos_));
+    if (plain) {
+      pos_ = eol;
+      if (pos_ < text_.size()) {  // consume the '\n'
+        ++pos_;
+        ++line_;
+      }
+      const std::size_t first = plain->find_first_not_of(" \t");
+      if (first == std::string_view::npos) continue;
+      return LogicalLine{plain->substr(first), start_line};
+    }
+    std::string& out = buffer_;
+    out.clear();
     bool more = true;   // keep appending physical lines (continuation)
     while (more) {
       more = false;
@@ -90,7 +129,7 @@ std::optional<LogicalLine> LineScanner::next() {
     // Strip leading whitespace.
     std::size_t first = out.find_first_not_of(" \t");
     if (first == std::string::npos) continue;
-    return LogicalLine{out.substr(first), start_line};
+    return LogicalLine{std::string_view(out).substr(first), start_line};
   }
   if (in_block_comment_)
     throw ParseError(file_, block_comment_line_,

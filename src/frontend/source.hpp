@@ -51,9 +51,11 @@ struct LineSyntax {
 
 /// One logical line: comments stripped, CR/trailing whitespace removed,
 /// continuations joined.  `line` is the physical line the logical line
-/// started on.
+/// started on.  `text` is valid until the scanner's next next() call: a
+/// line with no comment or continuation is a view into the scanned text,
+/// any other is a view into the scanner's own buffer.
 struct LogicalLine {
-  std::string text;
+  std::string_view text;
   int line = 0;
 };
 
@@ -70,7 +72,12 @@ class LineScanner {
   const std::string& file() const { return file_; }
 
  private:
+  /// `line` (one physical line) with trailing space trimmed, when it needs
+  /// no comment stripping or continuation joining; nullopt otherwise.
+  std::optional<std::string_view> plain_line(std::string_view line) const;
+
   std::string_view text_;
+  std::string buffer_;  ///< backs lines that needed stripping or joining
   std::string file_;
   LineSyntax syntax_;
   std::size_t pos_ = 0;

@@ -1,9 +1,11 @@
 #include "netlist/io_blif.hpp"
 
+#include <algorithm>
 #include <array>
 #include <fstream>
-#include <memory>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "frontend/graph.hpp"
@@ -70,17 +72,22 @@ void write_cover(std::ostream& out, const Gate& gate) {
 // -- Reading ---------------------------------------------------------------
 
 struct NamesNode {
-  std::vector<std::string> signals;  // inputs..., output last
   std::vector<std::string> rows;     // cover rows like "1-0 1"
   frontend::Loc loc;
 };
 
-std::vector<std::string> split_ws(const std::string& line) {
-  std::vector<std::string> tokens;
-  std::istringstream iss(line);
-  std::string token;
-  while (iss >> token) tokens.push_back(token);
-  return tokens;
+/// The whitespace-separated tokens of `line`, as views into it, in
+/// `tokens`.
+void split_ws(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  constexpr std::string_view kSpace = " \t\n\v\f\r";
+  for (std::size_t begin = line.find_first_not_of(kSpace);
+       begin != std::string_view::npos;) {
+    const std::size_t end = std::min(line.find_first_of(kSpace, begin),
+                                     line.size());
+    tokens.push_back(line.substr(begin, end - begin));
+    begin = line.find_first_not_of(kSpace, end);
+  }
 }
 
 /// Builds gates for one .names node.  `inputs` are the resolved argument
@@ -88,9 +95,9 @@ std::vector<std::string> split_ws(const std::string& line) {
 /// inverted literal across the whole file.
 void synthesize_node(Netlist& netlist, const NamesNode& node,
                      const std::vector<Var>& inputs,
+                     const std::string& out_name,
                      std::unordered_map<Var, Var>& inv_cache) {
-  const std::size_t n = node.signals.size() - 1;
-  const std::string& out_name = node.signals.back();
+  const std::size_t n = inputs.size();
 
   auto inverted = [&](Var v) -> Var {
     const auto it = inv_cache.find(v);
@@ -102,12 +109,13 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
 
   // Parse rows into (mask, polarity) pairs.
   struct Row {
-    std::string bits;
+    std::string_view bits;
     bool value;
   };
   std::vector<Row> rows;
+  std::vector<std::string_view> tokens;
   for (const auto& text : node.rows) {
-    auto tokens = split_ws(text);
+    split_ws(text, tokens);
     if (n == 0) {
       if (tokens.size() != 1 || (tokens[0] != "0" && tokens[0] != "1")) {
         frontend::fail_at(node.loc, "bad constant cover row");
@@ -152,7 +160,8 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
       } else if (row.bits[i] == '0') {
         literals.push_back(inverted(inputs[i]));
       } else if (row.bits[i] != '-') {
-        frontend::fail_at(node.loc, "bad cover literal '" + row.bits + "'");
+        frontend::fail_at(node.loc,
+                          "bad cover literal '" + std::string(row.bits) + "'");
       }
     }
     if (literals.empty()) {
@@ -223,32 +232,42 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
                            .backslash_continuation = true});
   std::string model = "top";
   frontend::GraphBuilder builder(model, filename);
-  // One INV per inverted literal, shared across the whole file.  On the
-  // heap because node emit closures run inside builder.build(), after this
-  // frame may have created many of them.
-  auto inv_cache = std::make_shared<std::unordered_map<Var, Var>>();
-  // The .names block being collected: rows attach to the last node until
-  // the next directive.
-  std::shared_ptr<NamesNode> current;
+  // Every .names block, and one INV per inverted literal shared across the
+  // whole file.  The emit closures run inside builder.build() below and
+  // reach both through one pointer.
+  struct Cover {
+    std::vector<NamesNode> nodes;
+    std::unordered_map<Var, Var> inv_cache;
+  } cover;
+  // The .names block being collected: rows attach to it until the next
+  // directive.  Its signals are copied (the line views die), the output
+  // last.
+  bool collecting = false;
+  std::vector<std::string> signals;
 
   auto finish_current = [&]() {
-    if (!current) return;
-    std::shared_ptr<NamesNode> node = std::move(current);
-    std::vector<std::string> args(node->signals.begin(),
-                                  node->signals.end() - 1);
-    std::string out_name = node->signals.back();
-    builder.add_node(std::move(out_name), std::move(args), node->loc,
-                     [node, inv_cache](Netlist& netlist,
-                                       const std::vector<Var>& inputs) {
-                       synthesize_node(netlist, *node, inputs, *inv_cache);
-                     });
+    if (!collecting) return;
+    collecting = false;
+    const std::size_t index = cover.nodes.size() - 1;
+    builder.add_node(
+        signals.back(),
+        std::span<const std::string>(signals.data(), signals.size() - 1),
+        cover.nodes.back().loc,
+        [state = &cover, index](Netlist& netlist,
+                                const std::vector<Var>& inputs,
+                                const std::string& output) {
+          synthesize_node(netlist, state->nodes[index], inputs, output,
+                          state->inv_cache);
+        });
   };
 
+  frontend::Loc loc{filename, 0, 0};
+  std::vector<std::string_view> tokens;
   while (auto logical = scanner.next()) {
-    frontend::Loc loc{filename, logical->line, 0};
-    auto tokens = split_ws(logical->text);
+    loc.line = logical->line;
+    split_ws(logical->text, tokens);
     if (tokens.empty()) continue;
-    const std::string& keyword = tokens[0];
+    const std::string_view keyword = tokens[0];
     if (keyword == ".model") {
       finish_current();
       if (tokens.size() >= 2) model = tokens[1];
@@ -263,16 +282,17 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
     } else if (keyword == ".names") {
       finish_current();
       if (tokens.size() < 2) frontend::fail_at(loc, ".names without signals");
-      current = std::make_shared<NamesNode>();
-      current->signals.assign(tokens.begin() + 1, tokens.end());
-      current->loc = loc;
+      signals.assign(tokens.begin() + 1, tokens.end());
+      cover.nodes.push_back(NamesNode{{}, loc});
+      collecting = true;
     } else if (keyword == ".end") {
       finish_current();
     } else if (keyword[0] == '.') {
-      frontend::fail_at(loc, "unsupported BLIF construct '" + keyword + "'");
+      frontend::fail_at(loc, "unsupported BLIF construct '" +
+                                 std::string(keyword) + "'");
     } else {
-      if (!current) frontend::fail_at(loc, "cover row outside .names");
-      current->rows.push_back(logical->text);
+      if (!collecting) frontend::fail_at(loc, "cover row outside .names");
+      cover.nodes.back().rows.emplace_back(logical->text);
     }
   }
   finish_current();

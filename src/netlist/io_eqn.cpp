@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 
 #include "frontend/cell_library.hpp"
@@ -44,27 +47,25 @@ bool is_ident_char(char c) {
          c == '[' || c == ']' || c == '.' || c == '$';
 }
 
-std::vector<std::string> tokenize_names(const std::string& text) {
-  std::vector<std::string> names;
-  std::string current;
-  for (char c : text) {
-    if (is_ident_char(c)) {
-      current.push_back(c);
-    } else if (!current.empty()) {
-      names.push_back(current);
-      current.clear();
-    }
+/// The identifier runs of `text`, as views into it, in `names`.
+void tokenize_names(std::string_view text,
+                    std::vector<std::string_view>& names) {
+  names.clear();
+  std::size_t begin = 0;
+  for (std::size_t i = 0; i <= text.size(); ++i) {
+    if (i < text.size() && is_ident_char(text[i])) continue;
+    if (i > begin) names.push_back(text.substr(begin, i - begin));
+    begin = i + 1;
   }
-  if (!current.empty()) names.push_back(current);
-  return names;
 }
 
 /// Resolves an operator name to the gate(s) it creates and registers the
 /// node: builtin mnemonics become single gates; with a library loaded,
 /// library cells resolve to their builtin equivalent or expand
 /// structurally.
-void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
-                       std::string op, std::vector<std::string> args,
+void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
+                       const std::string& op,
+                       std::span<const std::string_view> args,
                        const frontend::Loc& loc,
                        const frontend::CellLibrary* library) {
   CellType type{};
@@ -75,15 +76,17 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
     builtin = false;
     if (!library) frontend::fail_at(loc, e.what());
   }
+  const auto single_gate = [&builder, lhs, args, &loc](CellType t) {
+    builder.add_node(lhs, args, loc,
+                     [t](Netlist& netlist, const std::vector<Var>& vars,
+                         const std::string& output) {
+                       netlist.add_gate(t, vars, output);
+                     });
+  };
   if (builtin) {
     if (!arity_ok(type, args.size()))
       frontend::fail_at(loc, "bad arity for " + op);
-    std::string out = lhs;
-    builder.add_node(std::move(lhs), std::move(args), loc,
-                     [type, out](Netlist& netlist,
-                                 const std::vector<Var>& vars) {
-                       netlist.add_gate(type, vars, out);
-                     });
+    single_gate(type);
     return;
   }
   const frontend::LibCell* cell = library->find(op);
@@ -98,18 +101,13 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
                                " arguments, got " +
                                std::to_string(args.size()));
   if (cell->builtin) {
-    CellType t = *cell->builtin;
-    std::string out = lhs;
-    builder.add_node(std::move(lhs), std::move(args), loc,
-                     [t, out](Netlist& netlist, const std::vector<Var>& vars) {
-                       netlist.add_gate(t, vars, out);
-                     });
+    single_gate(*cell->builtin);
     return;
   }
-  std::string out = lhs;
   builder.add_node(
-      std::move(lhs), std::move(args), loc,
-      [cell, out](Netlist& netlist, const std::vector<Var>& vars) {
+      lhs, args, loc,
+      [cell](Netlist& netlist, const std::vector<Var>& vars,
+             const std::string& output) {
         std::unordered_map<std::string, Var> by_name;
         std::vector<std::string> actuals;
         for (Var v : vars) {
@@ -119,7 +117,7 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
         }
         opt::EmitGateFn emit = [&](CellType t,
                                    std::vector<std::string> input_names,
-                                   std::string output) {
+                                   std::string gate_output) {
           std::vector<Var> inputs;
           for (const std::string& n : input_names) {
             auto it = by_name.find(n);
@@ -127,13 +125,23 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string lhs,
                         "expansion references unknown net " << n);
             inputs.push_back(it->second);
           }
-          Var v = netlist.add_gate(t, std::move(inputs), output);
+          Var v = netlist.add_gate(t, std::move(inputs), gate_output);
           std::string vname = netlist.var_name(v);
           by_name.emplace(vname, v);
           return vname;
         };
-        opt::expand_cell_function(*cell, actuals, out, emit);
+        opt::expand_cell_function(*cell, actuals, output, emit);
       });
+}
+
+/// `line` without the leading `keyword` when it starts with it as a whole
+/// word ("input a b" -> " a b"); nullopt otherwise.
+std::optional<std::string_view> after_keyword(std::string_view line,
+                                              std::string_view keyword) {
+  if (!line.starts_with(keyword)) return std::nullopt;
+  if (line.size() > keyword.size() && is_ident_char(line[keyword.size()]))
+    return std::nullopt;
+  return line.substr(keyword.size());
 }
 
 }  // namespace
@@ -147,63 +155,67 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
   std::string model = "top";
   frontend::GraphBuilder builder(model, filename);
   const frontend::CellLibrary* library = options.library.get();
+  frontend::Loc loc{filename, 0, 0};
+  // Per-line token buffers; the views point into the current line.
+  std::vector<std::string_view> names;
+  std::vector<std::string_view> op_names;
+  std::string op;
 
   while (auto logical = scanner.next()) {
-    std::string line = logical->text;
-    frontend::Loc loc{filename, logical->line, 0};
-    if (!line.empty() && line.back() == ';') line.pop_back();
+    std::string_view line = logical->text;
+    loc.line = logical->line;
+    if (!line.empty() && line.back() == ';') line.remove_suffix(1);
     while (!line.empty() &&
            std::isspace(static_cast<unsigned char>(line.back())))
-      line.pop_back();
+      line.remove_suffix(1);
     if (line.empty()) continue;
 
-    if (line.rfind("model ", 0) == 0) {
-      model = line.substr(6);
-      while (!model.empty() &&
-             std::isspace(static_cast<unsigned char>(model.front())))
-        model.erase(model.begin());
+    if (line.starts_with("model ")) {
+      std::string_view rest = line.substr(6);
+      while (!rest.empty() &&
+             std::isspace(static_cast<unsigned char>(rest.front())))
+        rest.remove_prefix(1);
+      model = rest;
       continue;
     }
-    if (line.rfind("input", 0) == 0 &&
-        (line.size() == 5 || !is_ident_char(line[5]))) {
-      for (auto& n : tokenize_names(line.substr(5)))
-        builder.add_input(n, loc);
+    if (const auto rest = after_keyword(line, "input")) {
+      tokenize_names(*rest, names);
+      for (const std::string_view n : names) builder.add_input(n, loc);
       continue;
     }
-    if (line.rfind("output", 0) == 0 &&
-        (line.size() == 6 || !is_ident_char(line[6]))) {
-      for (auto& n : tokenize_names(line.substr(6)))
-        builder.add_output(n, loc);
+    if (const auto rest = after_keyword(line, "output")) {
+      tokenize_names(*rest, names);
+      for (const std::string_view n : names) builder.add_output(n, loc);
       continue;
     }
     const auto eq = line.find('=');
-    if (eq == std::string::npos)
-      frontend::fail_at(loc, "unrecognized statement: " + line);
-    auto lhs_names = tokenize_names(line.substr(0, eq));
-    if (lhs_names.size() != 1)
+    if (eq == std::string_view::npos)
+      frontend::fail_at(loc, "unrecognized statement: " + std::string(line));
+    tokenize_names(line.substr(0, eq), names);
+    if (names.size() != 1)
       frontend::fail_at(loc, "bad equation left-hand side");
-    std::string lhs = lhs_names[0];
-    std::string rhs = line.substr(eq + 1);
+    const std::string_view lhs = names[0];
+    const std::string_view rhs = line.substr(eq + 1);
     const auto paren = rhs.find('(');
-    if (paren == std::string::npos) {
+    if (paren == std::string_view::npos) {
       // Constant form: "x = 0" / "x = 1".
-      auto names = tokenize_names(rhs);
-      if (names.size() == 1 && (names[0] == "0" || names[0] == "1")) {
-        add_equation_node(builder, std::move(lhs),
-                          names[0] == "0" ? "CONST0" : "CONST1", {}, loc,
-                          library);
+      tokenize_names(rhs, op_names);
+      if (op_names.size() == 1 && (op_names[0] == "0" || op_names[0] == "1")) {
+        op = op_names[0] == "0" ? "CONST0" : "CONST1";
+        add_equation_node(builder, lhs, op, {}, loc, library);
         continue;
       }
       frontend::fail_at(loc, "expected OP(args) or 0/1");
     }
-    auto op_names = tokenize_names(rhs.substr(0, paren));
+    tokenize_names(rhs.substr(0, paren), op_names);
     if (op_names.size() != 1) frontend::fail_at(loc, "bad operator name");
+    op = op_names[0];
     const auto close = rhs.rfind(')');
-    if (close == std::string::npos || close < paren)
+    if (close == std::string_view::npos || close < paren)
       frontend::fail_at(loc, "unbalanced parentheses");
-    add_equation_node(builder, std::move(lhs), op_names[0],
-                      tokenize_names(rhs.substr(paren + 1, close - paren - 1)),
-                      loc, library);
+    // `names` still holds the lhs view; the args go to op_names.
+    tokenize_names(rhs.substr(paren + 1, close - paren - 1), op_names);
+    add_equation_node(builder, lhs, op, op_names, loc, library);
   }
   Netlist netlist = builder.build();
   netlist.set_name(model);

@@ -708,7 +708,7 @@ class Elaborator {
              const std::string& filename)
       : options_(options), filename_(filename) {
     for (const Module& m : modules) {
-      if (!by_name_.emplace(m.name, &m).second)
+      if (!modules_.emplace(m.name, &m).second)
         frontend::fail_at(m.loc, "module '" + m.name + "' defined twice");
     }
   }
@@ -726,19 +726,19 @@ class Elaborator {
  private:
   const Module& select_top() {
     if (!options_.top.empty()) {
-      auto it = by_name_.find(options_.top);
-      if (it == by_name_.end())
+      auto it = modules_.find(options_.top);
+      if (it == modules_.end())
         throw InvalidArgument("top module '" + options_.top + "' not found");
       return *it->second;
     }
-    if (by_name_.size() == 1) return *by_name_.begin()->second;
+    if (modules_.size() == 1) return *modules_.begin()->second;
     // The unique uninstantiated module is the top.
     std::unordered_set<std::string> instantiated;
-    for (const auto& [name, m] : by_name_)
+    for (const auto& [name, m] : modules_)
       for (const Instance& inst : m->instances)
         instantiated.insert(inst.target);
     const Module* top = nullptr;
-    for (const auto& [name, m] : by_name_) {
+    for (const auto& [name, m] : modules_) {
       if (instantiated.count(name)) continue;
       if (top)
         throw InvalidArgument(
@@ -915,10 +915,11 @@ class Elaborator {
     bool& made = one ? made_const1_ : made_const0_;
     if (!made) {
       builder_->add_node(
-          name, {}, Loc{filename_, 0, 0},
-          [one, name](Netlist& netlist, const std::vector<Var>&) {
+          name, std::span<const std::string>{}, Loc{filename_, 0, 0},
+          [one](Netlist& netlist, const std::vector<Var>&,
+                const std::string& out) {
             netlist.add_gate(one ? CellType::Const1 : CellType::Const0, {},
-                             name);
+                             out);
           });
       made = true;
     }
@@ -934,8 +935,9 @@ class Elaborator {
     collect_refs(rhs, args);
     builder_->add_node(
         lhs, args, a.loc,
-        [this, rhs, lhs](Netlist& netlist, const std::vector<Var>&) {
-          emit_expr(rhs, netlist, lhs);
+        [this, rhs](Netlist& netlist, const std::vector<Var>&,
+                    const std::string& out) {
+          emit_expr(rhs, netlist, out);
         });
   }
 
@@ -998,8 +1000,8 @@ class Elaborator {
   }
 
   void elaborate_instance(const Instance& inst, Scope& scope) {
-    auto mod_it = by_name_.find(inst.target);
-    if (mod_it != by_name_.end()) {
+    auto mod_it = modules_.find(inst.target);
+    if (mod_it != modules_.end()) {
       elaborate_module_instance(inst, *mod_it->second, scope);
       return;
     }
@@ -1097,8 +1099,9 @@ class Elaborator {
     for (std::size_t i = 1; i < inst.conns.size(); ++i)
       args.push_back(connection_bit(inst.conns[i], scope));
     builder_->add_node(out, args, inst.loc,
-                       [type, out](Netlist& netlist,
-                                   const std::vector<Var>& vars) {
+                       [type](Netlist& netlist,
+                              const std::vector<Var>& vars,
+                              const std::string& out) {
                          netlist.add_gate(type, vars, out);
                        });
   }
@@ -1171,7 +1174,8 @@ class Elaborator {
     const frontend::LibCell* cell_ptr = &cell;
     builder_->add_node(
         out, args, inst.loc,
-        [cell_ptr, out](Netlist& netlist, const std::vector<Var>& vars) {
+        [cell_ptr](Netlist& netlist, const std::vector<Var>& vars,
+                   const std::string& out) {
           if (cell_ptr->builtin) {
             netlist.add_gate(*cell_ptr->builtin, vars, out);
             return;
@@ -1205,7 +1209,7 @@ class Elaborator {
 
   const frontend::FrontendOptions& options_;
   std::string filename_;
-  std::unordered_map<std::string, const Module*> by_name_;
+  std::unordered_map<std::string, const Module*> modules_;
   std::unique_ptr<frontend::GraphBuilder> builder_;
   std::vector<std::string> path_;  ///< module names on the elaboration stack
   bool made_const0_ = false;

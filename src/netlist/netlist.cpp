@@ -11,26 +11,41 @@ namespace {
 constexpr unsigned char kWhite = 0;
 constexpr unsigned char kGrey = 1;
 constexpr unsigned char kBlack = 2;
+
+/// k when `name` is "n<k>" exactly as an auto name spells it (no leading
+/// zeros, at most 18 digits), else nullopt.
+std::optional<std::size_t> auto_name_number(std::string_view name) {
+  if (name.size() < 2 || name.size() > 19 || name[0] != 'n')
+    return std::nullopt;
+  if (name[1] == '0' && name.size() > 2) return std::nullopt;
+  std::size_t k = 0;
+  for (const char c : name.substr(1)) {
+    if (c < '0' || c > '9') return std::nullopt;
+    k = 10 * k + static_cast<std::size_t>(c - '0');
+  }
+  return k;
+}
+
 }  // namespace
 
-Var Netlist::new_var(const std::string& name, bool is_input) {
-  std::string final_name = name;
-  if (final_name.empty()) {
+Var Netlist::new_var(std::string_view name, bool is_input) {
+  std::string auto_name;
+  if (name.empty()) {
     // Auto names must not collide with explicit or reserved names (e.g. a
     // parsed file whose nets were themselves auto-named "n<k>" by a
     // previous tool, or output names a rebuilding pass will need later).
+    std::size_t k;
     do {
-      final_name = "n" + std::to_string(next_auto_name_++);
-    } while (by_name_.find(final_name) != by_name_.end() ||
-             reserved_names_.find(final_name) != reserved_names_.end());
+      k = next_auto_name_++;
+      auto_name = "n" + std::to_string(k);
+    } while (reserved_auto_.count(k) != 0 ||
+             names_.find(auto_name) != util::NameTable::kNone);
+    name = auto_name;
   }
-  GFRE_ASSERT(by_name_.find(final_name) == by_name_.end(),
-              "duplicate net name '" << final_name << "'");
-  const Var v = static_cast<Var>(var_names_.size());
-  var_names_.push_back(final_name);
+  const auto [v, added] = names_.intern(name);
+  GFRE_ASSERT(added, "duplicate net name '" << name << "'");
   var_is_input_.push_back(is_input);
   driver_.push_back(0);
-  by_name_.emplace(var_names_.back(), v);
   return v;
 }
 
@@ -60,13 +75,13 @@ void Netlist::mark_output(Var v) {
   outputs_.push_back(v);
 }
 
-void Netlist::reserve_name(const std::string& name) {
-  if (!name.empty()) reserved_names_.insert(name);
+void Netlist::reserve_name(std::string_view name) {
+  if (const auto k = auto_name_number(name)) reserved_auto_.insert(*k);
 }
 
 const std::string& Netlist::var_name(Var v) const {
   GFRE_ASSERT(v < num_vars(), "net " << v << " undeclared");
-  return var_names_[v];
+  return names_.name(v);
 }
 
 bool Netlist::is_input(Var v) const {
@@ -81,9 +96,9 @@ std::optional<std::size_t> Netlist::driver(Var v) const {
 }
 
 std::optional<Var> Netlist::find_var(const std::string& name) const {
-  const auto it = by_name_.find(name);
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  const Var v = names_.find(name);
+  if (v == util::NameTable::kNone) return std::nullopt;
+  return v;
 }
 
 void Netlist::topo_dfs(std::size_t root_gate,
@@ -171,11 +186,9 @@ std::vector<std::size_t> Netlist::fanin_cone(Var root) const {
   // Backward reachability sweep over the cached whole-netlist order: mark
   // the root's position in a dense bitmap, walk positions downward (every
   // driver sits at a strictly lower position), and mark each reached
-  // gate's drivers.  Crypto-size multiplier cones cover most of the
-  // netlist for every output bit, so this sequential pass over the
-  // flattened adjacency beats a pointer-chasing DFS per bit by a wide
-  // margin — and the L2-resident bitmap replaces a byte-per-gate mark
-  // array.
+  // gate's drivers.  The pass reads the flattened adjacency in order
+  // instead of chasing pointers per bit, and the bitmap replaces a
+  // byte-per-gate mark array.
   const auto index = cone_index();
   const std::size_t root_pos = index->pos_of[*root_drv];
   std::vector<std::uint64_t> in_cone((root_pos + 64) / 64, 0);
@@ -289,7 +302,7 @@ void Netlist::validate() const {
   // Every non-input net must have a driver; cycle check via topo sort.
   for (Var v = 0; v < num_vars(); ++v) {
     if (!var_is_input_[v] && driver_[v] == 0) {
-      throw Error("net '" + var_names_[v] + "' has no driver in netlist '" +
+      throw Error("net '" + names_.name(v) + "' has no driver in netlist '" +
                   name_ + "'");
     }
   }

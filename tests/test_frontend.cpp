@@ -19,6 +19,7 @@
 #include "frontend/cell_library.hpp"
 #include "frontend/emit_hier.hpp"
 #include "frontend/frontend.hpp"
+#include "frontend/source.hpp"
 #include "helpers.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
@@ -220,6 +221,97 @@ TEST(Lexing, BlockCommentsAndTrailingWhitespace) {
       ".end\n";
   expect_same_structure(nl::read_blif(blif, "t"), nl::read_blif(kTinyBlif, "t"),
                         "blif comments + continuation");
+}
+
+using ScannedLine = std::pair<std::string, int>;
+
+/// Every logical line of `text` with its starting line number.  Lines
+/// that needed no stripping must come back as views into `text`.
+std::vector<ScannedLine> scan_lines(std::string_view text,
+                                    frontend::LineSyntax syntax,
+                                    int* zero_copy = nullptr) {
+  frontend::LineScanner scanner(text, "t", syntax);
+  std::vector<ScannedLine> lines;
+  while (auto logical = scanner.next()) {
+    const char* data = logical->text.data();
+    if (zero_copy && data >= text.data() && data < text.data() + text.size())
+      ++*zero_copy;
+    lines.emplace_back(std::string(logical->text), logical->line);
+  }
+  return lines;
+}
+
+TEST(Lexing, LineScannerMixesViewAndCopyLines) {
+  // Plain lines (returned as views) interleaved with lines that need a
+  // copy: a mid-line '#' or '//', CRLF, trailing tabs, a block comment
+  // inline and across lines, and a BLIF '\' continuation (with CRLF, and
+  // dangling at end of input).
+  const std::string eqn =
+      "model m\n"
+      "input a b;  \t\n"
+      "x = AND(a, b); # note\n"
+      "y = OR(a, b); // note\r\n"
+      "z = XOR(a, /* inner */ b);\r\n"
+      "w = /* spans\n"
+      "   two lines */ INV(a);\t\r\n"
+      "  \t\r\n"
+      "t = a / b;\n"
+      "   v = BUF(a);\r\n"
+      "u = BUF(a)";
+  int eqn_views = 0;
+  EXPECT_EQ(scan_lines(eqn,
+                       frontend::LineSyntax{.hash_comments = true,
+                                            .slash_comments = true,
+                                            .block_comments = true},
+                       &eqn_views),
+            (std::vector<ScannedLine>{{"model m", 1},
+                                      {"input a b;", 2},
+                                      {"x = AND(a, b);", 3},
+                                      {"y = OR(a, b);", 4},
+                                      {"z = XOR(a,  b);", 5},
+                                      {"w =", 6},
+                                      {"INV(a);", 7},
+                                      {"t = a / b;", 9},
+                                      {"v = BUF(a);", 10},
+                                      {"u = BUF(a)", 11}}));
+  // model, input, t, v and u need no stripping beyond trailing space.
+  EXPECT_EQ(eqn_views, 5);
+
+  const std::string blif =
+      ".model m\n"
+      ".inputs a b \\\n"
+      "  c\t\n"
+      "# full comment line\n"
+      ".names a b x # trailing\r\n"
+      "11 1\n"
+      "/* block */ .names c \\\r\n"
+      "y\n"
+      "1 1\n"
+      ".outputs x // y\n"
+      ".end \\";
+  int blif_views = 0;
+  EXPECT_EQ(scan_lines(blif,
+                       frontend::LineSyntax{.hash_comments = true,
+                                            .slash_comments = false,
+                                            .block_comments = true,
+                                            .backslash_continuation = true},
+                       &blif_views),
+            (std::vector<ScannedLine>{{".model m", 1},
+                                      {".inputs a b   c", 2},
+                                      {".names a b x", 5},
+                                      {"11 1", 6},
+                                      {".names c y", 7},
+                                      {"1 1", 9},
+                                      {".outputs x // y", 10},
+                                      {".end", 11}}));
+  EXPECT_EQ(blif_views, 4);  // .model, both rows, .outputs
+
+  try {
+    scan_lines("a\n/* open\nb\n", frontend::LineSyntax{.block_comments = true});
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.line(), 2);
+  }
 }
 
 // ---------------------------------------------------------------------------

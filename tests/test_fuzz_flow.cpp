@@ -25,6 +25,8 @@
 #include "gf2m/field.hpp"
 #include "gf2poly/irreducible.hpp"
 #include "netlist/cell.hpp"
+#include "netlist/io_blif.hpp"
+#include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
 #include "obf/passes.hpp"
 #include "util/error.hpp"
@@ -529,6 +531,175 @@ TEST(FuzzHier, TextMutantsParseOrDiagnoseNeverCrash) {
           EXPECT_FALSE(report.recovery.diagnosis.empty())
               << label << " failed without a diagnosis\n"
               << report.summary();
+        }
+      }
+    }
+  }
+}
+
+// -- Line-dialect text mutants ----------------------------------------------
+//
+// The same parse-or-diagnose contract for the line-oriented dialects (.eqn
+// and BLIF), whose scanner hands out zero-copy views for plain lines and
+// copies only lines with comments, continuations or CRs.  The mutations
+// aim at exactly that split.  Swapping two gate statements is the control
+// of the stage: statement order must never change the verdict or P(x).
+
+enum class LineMutation {
+  Truncate,            ///< cut the file in the middle of a line
+  CommentInject,       ///< insert '#', '//' or an unterminated '/*'
+  Continuation,        ///< insert '\' + newline inside a line
+  StrayCr,             ///< insert a lone CR inside a line
+  DuplicateStatement,  ///< repeat one statement
+  SwapStatements,      ///< exchange two gate statements (order invariance)
+};
+
+const char* to_string(LineMutation m) {
+  switch (m) {
+    case LineMutation::Truncate: return "truncate";
+    case LineMutation::CommentInject: return "comment-inject";
+    case LineMutation::Continuation: return "continuation";
+    case LineMutation::StrayCr: return "stray-cr";
+    case LineMutation::DuplicateStatement: return "duplicate-statement";
+    case LineMutation::SwapStatements: return "swap-statements";
+  }
+  return "?";
+}
+
+const LineMutation kLineMutations[] = {
+    LineMutation::Truncate,           LineMutation::CommentInject,
+    LineMutation::Continuation,       LineMutation::StrayCr,
+    LineMutation::DuplicateStatement, LineMutation::SwapStatements,
+};
+
+/// `text` cut into statements, each with its trailing newline: one per
+/// line for .eqn; for BLIF a directive line plus the cover rows under it.
+std::vector<std::string> split_statements(const std::string& text,
+                                          bool blif) {
+  std::vector<std::string> statements;
+  for (std::size_t begin = 0; begin < text.size();) {
+    std::size_t end = text.find('\n', begin);
+    end = end == std::string::npos ? text.size() : end + 1;
+    const bool starts_statement = !blif || statements.empty() ||
+                                  text[begin] == '.' || text[begin] == '#';
+    if (starts_statement) statements.emplace_back();
+    statements.back() += text.substr(begin, end - begin);
+    begin = end;
+  }
+  return statements;
+}
+
+bool is_gate_statement(const std::string& statement, bool blif) {
+  return blif ? statement.rfind(".names ", 0) == 0
+              : statement.find('=') != std::string::npos;
+}
+
+std::string join(const std::vector<std::string>& statements) {
+  std::string text;
+  for (const std::string& s : statements) text += s;
+  return text;
+}
+
+std::string mutate_line_text(const std::string& text, bool blif,
+                             LineMutation kind, Prng& rng) {
+  std::vector<std::string> statements = split_statements(text, blif);
+  // A position strictly inside a random non-empty line.
+  const auto inner_position = [&]() {
+    std::vector<std::pair<std::size_t, std::size_t>> lines;  // begin, size
+    for (std::size_t begin = 0; begin < text.size();) {
+      std::size_t end = text.find('\n', begin);
+      if (end == std::string::npos) end = text.size();
+      if (end - begin >= 2) lines.emplace_back(begin, end - begin);
+      begin = end + 1;
+    }
+    const auto [begin, size] = lines[rng.next_below(lines.size())];
+    return begin + 1 + rng.next_below(size - 1);
+  };
+  switch (kind) {
+    case LineMutation::Truncate:
+      return text.substr(0, inner_position());
+    case LineMutation::CommentInject: {
+      const char* comments[] = {"#", "//", "/*"};
+      std::string out = text;
+      out.insert(inner_position(), comments[rng.next_below(3)]);
+      return out;
+    }
+    case LineMutation::Continuation: {
+      std::string out = text;
+      out.insert(inner_position(), "\\\n");
+      return out;
+    }
+    case LineMutation::StrayCr: {
+      std::string out = text;
+      out.insert(inner_position(), "\r");
+      return out;
+    }
+    case LineMutation::DuplicateStatement: {
+      const std::size_t from = rng.next_below(statements.size());
+      const std::size_t to = rng.next_below(statements.size() + 1);
+      statements.insert(statements.begin() + static_cast<std::ptrdiff_t>(to),
+                        statements[from]);
+      return join(statements);
+    }
+    case LineMutation::SwapStatements: {
+      std::vector<std::size_t> gates;
+      for (std::size_t i = 0; i < statements.size(); ++i)
+        if (is_gate_statement(statements[i], blif)) gates.push_back(i);
+      const std::size_t a = rng.next_below(gates.size());
+      std::size_t b = rng.next_below(gates.size() - 1);
+      if (b >= a) ++b;
+      std::swap(statements[gates[a]], statements[gates[b]]);
+      return join(statements);
+    }
+  }
+  return text;
+}
+
+TEST(FuzzLineDialects, TextMutantsParseOrDiagnoseNeverCrash) {
+  for (unsigned m = 4; m <= 12; ++m) {
+    const FamilyCase family = kFamilies[m % std::size(kFamilies)];
+    const gf2m::Field field(gf2::default_irreducible(m));
+    const auto base = family.generate(field);
+    const FlowReport control = reverse_engineer(base, fuzz_options());
+    for (const bool blif : {false, true}) {
+      const std::string file = blif ? "mutant.blif" : "mutant.eqn";
+      const auto parse = [&](const std::string& text) {
+        return blif ? nl::read_blif(text, file) : nl::read_eqn(text, file);
+      };
+      const std::string text = blif ? nl::write_blif(base)
+                                    : nl::write_eqn(base);
+      for (const LineMutation kind : kLineMutations) {
+        for (std::uint64_t seed = 1; seed <= fuzz_iters(); ++seed) {
+          Prng rng(0xbb67ae85u * m + 65537u * seed +
+                   static_cast<std::uint64_t>(kind) * 2654435761u + blif);
+          const std::string mutant = mutate_line_text(text, blif, kind, rng);
+          const std::string label = std::string(family.name) + " m=" +
+                                    std::to_string(m) + " " + file + " " +
+                                    to_string(kind) +
+                                    " seed=" + std::to_string(seed);
+          nl::Netlist parsed("unset");
+          try {
+            parsed = parse(mutant);
+          } catch (const ParseError& e) {
+            EXPECT_NE(kind, LineMutation::SwapStatements)
+                << label << ": " << e.what();
+            EXPECT_EQ(e.file(), file) << label;
+            EXPECT_GE(e.line(), 1) << label;
+            continue;
+          }
+          FlowReport report;
+          ASSERT_NO_THROW(report = reverse_engineer(parsed, fuzz_options()))
+              << label;
+          if (kind == LineMutation::SwapStatements) {
+            EXPECT_EQ(report.success, control.success) << label;
+            EXPECT_EQ(report.recovery.p, control.recovery.p) << label;
+          } else if (report.success) {
+            EXPECT_TRUE(report.verification.equivalent) << label;
+          } else {
+            EXPECT_FALSE(report.recovery.diagnosis.empty())
+                << label << " failed without a diagnosis\n"
+                << report.summary();
+          }
         }
       }
     }

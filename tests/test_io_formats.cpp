@@ -197,6 +197,36 @@ TEST(BlifFormat, Errors) {
   EXPECT_THROW(
       read_blif(".model x\n.inputs a\n.outputs z\n.names a q z\n11 1\n.end"),
       ParseError);  // undefined q
+  // Source names never bind to helper nets an earlier .names block
+  // auto-named: the inverter helper of "01 1" is called n0.  Both
+  // statement orders must diagnose the same way.
+  const std::string inverter = ".names a b x\n01 1\n";
+  const std::string reads_n0 = ".names n0 w\n1 1\n";
+  const std::string head = ".model x\n.inputs a b\n.outputs x w\n";
+  for (const std::string& body :
+       {inverter + reads_n0, reads_n0 + inverter}) {
+    try {
+      read_blif(head + body + ".end\n");
+      FAIL() << "w bound to a helper net:\n" << body;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("undefined net 'n0'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // A primary output never binds to a helper either, whether or not the
+  // block that creates it comes first.
+  for (const std::string& body :
+       {inverter, ".names a w\n1 1\n" + inverter}) {
+    try {
+      read_blif(".model x\n.inputs a b\n.outputs x n0\n" + body + ".end\n");
+      FAIL() << "n0 bound to a helper net:\n" << body;
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find("undriven output 'n0'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,19 @@ TEST(Netlist, AutoNamesAreUnique) {
   const Var g1 = n.add_gate(CellType::Inv, {a});
   const Var g2 = n.add_gate(CellType::Inv, {g1});
   EXPECT_NE(n.var_name(g1), n.var_name(g2));
+
+  // A reserved auto-shaped name is skipped; names of any other shape
+  // (leading zero, other prefix) cannot collide and are not kept.
+  Netlist r;
+  const Var x = r.add_input("x");
+  r.reserve_name("n1");
+  r.reserve_name("n02");
+  r.reserve_name("m2");
+  EXPECT_EQ(r.var_name(r.add_gate(CellType::Inv, {x})), "n0");
+  EXPECT_EQ(r.var_name(r.add_gate(CellType::Inv, {x})), "n2");
+  // An explicit name may still take a reserved one.
+  EXPECT_EQ(r.var_name(r.add_gate(CellType::Inv, {x}, "n1")), "n1");
+  EXPECT_EQ(r.var_name(r.add_gate(CellType::Inv, {x})), "n3");
 }
 
 TEST(Netlist, DuplicateNameRejected) {

@@ -12,6 +12,7 @@
 
 #include "util/error.hpp"
 #include "util/jsonl.hpp"
+#include "util/name_table.hpp"
 #include "util/options.hpp"
 #include "util/prng.hpp"
 #include "util/rss.hpp"
@@ -153,6 +154,87 @@ TEST(ThreadPool, SingleWorkerStillWorks) {
   EXPECT_EQ(counter.load(), 2);
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_THROW(ThreadPool(0), Error);
+}
+
+TEST(NameTable, DenseFirstSeenIds) {
+  util::NameTable table;
+  EXPECT_EQ(table.size(), 0u);
+  const auto a = table.intern("a");
+  const auto b = table.intern("b");
+  const auto a_again = table.intern("a");
+  EXPECT_EQ(a.id, 0u);
+  EXPECT_TRUE(a.added);
+  EXPECT_EQ(b.id, 1u);
+  EXPECT_TRUE(b.added);
+  EXPECT_EQ(a_again.id, 0u);
+  EXPECT_FALSE(a_again.added);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.name(0), "a");
+  EXPECT_EQ(table.name(1), "b");
+  EXPECT_EQ(table.find("b"), 1u);
+}
+
+TEST(NameTable, FindMisses) {
+  util::NameTable table;
+  EXPECT_EQ(table.find("a"), util::NameTable::kNone);  // empty table
+  EXPECT_EQ(table.find(""), util::NameTable::kNone);
+  table.intern("abc");
+  EXPECT_EQ(table.find("ab"), util::NameTable::kNone);
+  EXPECT_EQ(table.find("abcd"), util::NameTable::kNone);
+  EXPECT_EQ(table.find("ABC"), util::NameTable::kNone);
+  EXPECT_EQ(table.size(), 1u) << "find must not intern";
+}
+
+TEST(NameTable, ManyNamesSurviveRehashes) {
+  // 200k names cross many doublings; every id stays put and every name
+  // stays findable, including after the last rehash.
+  constexpr std::uint32_t kCount = 200000;
+  util::NameTable table;
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    const auto [id, added] = table.intern("net_" + std::to_string(i));
+    ASSERT_EQ(id, i);
+    ASSERT_TRUE(added);
+  }
+  EXPECT_EQ(table.size(), kCount);
+  for (std::uint32_t i = 0; i < kCount; ++i) {
+    const std::string name = "net_" + std::to_string(i);
+    ASSERT_EQ(table.find(name), i) << name;
+    ASSERT_EQ(table.name(i), name);
+    ASSERT_FALSE(table.intern(name).added);
+  }
+  EXPECT_EQ(table.find("net_" + std::to_string(kCount)),
+            util::NameTable::kNone);
+}
+
+TEST(NameTable, EmptyAndNearDuplicateNames) {
+  util::NameTable table;
+  const char* names[] = {"", "a", "a ", " a", "A", "ab", "ba",
+                         "n1", "n10", "n01", "a[0]", "a[00]"};
+  for (const char* n : names) EXPECT_TRUE(table.intern(n).added) << n;
+  // An embedded NUL is part of the name, not a terminator.
+  const std::string with_nul("a\0b", 3);
+  EXPECT_TRUE(table.intern(with_nul).added);
+  EXPECT_EQ(table.find(with_nul), table.size() - 1);
+  EXPECT_EQ(table.find(std::string_view("a\0c", 3)), util::NameTable::kNone);
+  for (std::uint32_t id = 0; id < std::size(names); ++id) {
+    EXPECT_EQ(table.find(names[id]), id) << names[id];
+    EXPECT_EQ(table.name(id), names[id]);
+  }
+}
+
+TEST(NameTable, CopiesAreIndependent) {
+  util::NameTable original;
+  for (int i = 0; i < 100; ++i) original.intern("x" + std::to_string(i));
+  util::NameTable copy = original;
+  EXPECT_EQ(copy.size(), 100u);
+  EXPECT_EQ(copy.find("x42"), 42u);
+  EXPECT_EQ(copy.intern("fresh").id, 100u);
+  EXPECT_EQ(original.find("fresh"), util::NameTable::kNone);
+  EXPECT_EQ(original.intern("other").id, 100u);
+  EXPECT_EQ(copy.find("other"), util::NameTable::kNone);
+  copy = original;
+  EXPECT_EQ(copy.find("other"), 100u);
+  EXPECT_EQ(copy.find("fresh"), util::NameTable::kNone);
 }
 
 TEST(TextTable, RendersAligned) {
