@@ -133,7 +133,7 @@ int main() {
   }
 
   obf::CampaignOptions options;
-  options.threads = static_cast<unsigned>(configured_threads());
+  options.threads = bench::bench_threads();
   std::printf("running %zu scenarios (%u seeds per cell, %zu cells)...\n",
               scenarios.size(), seeds, cells.size());
   std::fflush(stdout);

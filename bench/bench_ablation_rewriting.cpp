@@ -108,7 +108,7 @@ int main() {
 
   std::vector<unsigned> widths{8, 16, 32, 64};
   if (full_scale_requested()) widths = {16, 32, 64, 96, 163};
-  const auto threads = static_cast<unsigned>(configured_threads());
+  const auto threads = bench::bench_threads();
 
   const std::vector<Family> families{
       {"mastrovito",

@@ -162,9 +162,10 @@ int main() {
   const std::string manifest_dup = write_corpus(dir, true);
   std::printf("corpus ready in %.2f s\n\n", gen_timer.seconds());
 
-  core::FlowOptions defaults;
-  defaults.strategy = strategy;
-  defaults.verify_with_golden = false;  // the paper's "extraction" timing
+  core::BatchJob defaults;
+  defaults.options.strategy = strategy;
+  // The paper's "extraction" timing.
+  defaults.options.verify_with_golden = false;
   const auto jobs = core::parse_manifest(manifest, defaults);
   GFRE_ASSERT(jobs.size() == 100, "expected the 100-job manifest, got "
                                       << jobs.size());

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "gf2m/field.hpp"
 #include "gf2poly/catalog.hpp"
 #include "netlist/netlist.hpp"
+#include "util/error.hpp"
 #include "util/options.hpp"
 #include "util/rss.hpp"
 #include "util/table.hpp"
@@ -61,10 +63,22 @@ inline core::RewriteStrategy configured_strategy() {
   return *strategy;
 }
 
+/// Flow threads for the benches: GFRE_THREADS through the strict parser,
+/// where a malformed value ends the bench as a usage error (exit 2)
+/// instead of an uncaught exception.
+inline unsigned bench_threads() {
+  try {
+    return static_cast<unsigned>(configured_threads());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(2);
+  }
+}
+
 inline void print_header(const std::string& what) {
   std::printf("=== %s ===\n", what.c_str());
-  std::printf("threads: %zu (paper: 16 on a 12-core Xeon E5-2420v2)\n",
-              configured_threads());
+  std::printf("threads: %u (paper: 16 on a 12-core Xeon E5-2420v2)\n",
+              bench_threads());
   std::printf("engine:  %s (set GFRE_STRATEGY=packed|indexed)\n",
               core::to_string(configured_strategy()));
   std::printf("scale:   %s (set GFRE_FULL=1 for the paper's full sizes)\n\n",
@@ -98,7 +112,7 @@ inline Row run_flow_row(const nl::Netlist& netlist, const gf2m::Field& field,
                         double gen_seconds,
                         std::optional<PaperReference> paper = std::nullopt) {
   core::FlowOptions options;
-  options.threads = static_cast<unsigned>(configured_threads());
+  options.threads = bench_threads();
   options.strategy = configured_strategy();
   options.verify_with_golden = false;
   const auto report = core::reverse_engineer(netlist, options);

@@ -28,7 +28,7 @@ int main() {
     const gf2m::Field field(entry.p);
     const auto netlist = gen::generate_mastrovito(field);
     core::FlowOptions options;
-    options.threads = static_cast<unsigned>(configured_threads());
+    options.threads = bench::bench_threads();
     options.verify_with_golden = false;
     const auto report = core::reverse_engineer(netlist, options);
     Series s;

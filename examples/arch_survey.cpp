@@ -16,6 +16,7 @@
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
 #include "gf2poly/catalog.hpp"
+#include "util/error.hpp"
 #include "util/options.hpp"
 #include "util/table.hpp"
 
@@ -37,6 +38,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  unsigned threads = 1;
+  try {
+    threads = static_cast<unsigned>(configured_threads());
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
+
   std::cout << "Surveying " << candidates.size()
             << " irreducible polynomials for GF(2^" << m << ")\n\n";
 
@@ -47,7 +56,7 @@ int main(int argc, char** argv) {
     const gf2m::Field field(entry.p);
     const auto netlist = gen::generate_mastrovito(field);
     core::FlowOptions options;
-    options.threads = static_cast<unsigned>(configured_threads());
+    options.threads = threads;
     const auto report = core::reverse_engineer(netlist, options);
     const bool ok = report.success && report.recovery.p == entry.p;
     all_ok &= ok;

@@ -54,83 +54,46 @@ int main(int argc, char** argv) {
   unsigned count = 1;
   std::uint64_t seed = 1;
   obf::CampaignOptions campaign;
-  campaign.threads = static_cast<unsigned>(configured_threads());
   std::string out_path;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--family" && i + 1 < argc) {
-      family = argv[++i];
-    } else if (arg == "--m" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--m wants a positive integer\n";
-        usage(std::cerr);
-        return 2;
+  try {
+    campaign.threads = static_cast<unsigned>(configured_threads());
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool has_value = i + 1 < argc;
+      if (arg == "--family" && has_value) {
+        family = argv[++i];
+      } else if (arg == "--m" && has_value) {
+        m = static_cast<unsigned>(parse_uint("--m", argv[++i], 2, 1024));
+      } else if (arg == "--fault" && has_value) {
+        fault = argv[++i];
+        if (fault != "stuckat" && fault != "flip" && fault != "both") {
+          throw InvalidArgument("--fault wants stuckat, flip or both");
+        }
+      } else if (arg == "--count" && has_value) {
+        count =
+            static_cast<unsigned>(parse_uint("--count", argv[++i], 1, 1024));
+      } else if (arg == "--seed" && has_value) {
+        seed = parse_uint("--seed", argv[++i]);
+      } else if (arg == "--threads" && has_value) {
+        campaign.threads = static_cast<unsigned>(
+            parse_uint("--threads", argv[++i], 1, kMaxThreads));
+      } else if (arg == "--out" && has_value) {
+        out_path = argv[++i];
+      } else if (arg == "--quiet") {
+        quiet = true;
+      } else if (arg == "--help") {
+        usage(std::cout);
+        return 0;
+      } else {
+        throw InvalidArgument("unknown argument '" + arg + "'");
       }
-      const unsigned long width = std::stoul(value);
-      if (width < 2 || width > 1024) {
-        std::cerr << "--m wants 2..1024\n";
-        usage(std::cerr);
-        return 2;
-      }
-      m = static_cast<unsigned>(width);
-    } else if (arg == "--fault" && i + 1 < argc) {
-      fault = argv[++i];
-      if (fault != "stuckat" && fault != "flip" && fault != "both") {
-        std::cerr << "--fault wants stuckat, flip or both\n";
-        usage(std::cerr);
-        return 2;
-      }
-    } else if (arg == "--count" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--count wants a positive integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      const unsigned long n = std::stoul(value);
-      if (n == 0 || n > 1024) {
-        std::cerr << "--count wants 1..1024\n";
-        usage(std::cerr);
-        return 2;
-      }
-      count = static_cast<unsigned>(n);
-    } else if (arg == "--seed" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--seed wants a non-negative integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      seed = std::stoull(value);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      const std::string value = argv[++i];
-      if (value.empty() || value[0] == '-') {
-        std::cerr << "--threads wants a positive integer\n";
-        usage(std::cerr);
-        return 2;
-      }
-      const unsigned long threads = std::stoul(value);
-      if (threads == 0 || threads > 4096) {
-        std::cerr << "--threads wants 1..4096\n";
-        usage(std::cerr);
-        return 2;
-      }
-      campaign.threads = static_cast<unsigned>(threads);
-    } else if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--help") {
-      usage(std::cout);
-      return 0;
-    } else {
-      std::cerr << "unknown argument '" << arg << "'\n";
-      usage(std::cerr);
-      return 2;
     }
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
   }
 
   // Control first (the clean twin the scheduler dedups against), then one

@@ -150,125 +150,56 @@ int main(int argc, char** argv) {
   std::optional<std::uint64_t> cache_prune;
   std::uint64_t cache_cap = 0;
   std::uint64_t cache_negative_ttl = 0;
-  std::uint64_t default_deadline_ms = 0;
   bool admission_reject = false;
   bool quiet = false;
   bool no_cache = false;
   core::BatchOptions batch_options;
-  batch_options.threads = static_cast<unsigned>(configured_threads());
-  core::FlowOptions defaults;
+  // Every job starts as a copy of this one; the flags below seed it
+  // through the manifest's own option parser.
+  core::BatchJob defaults;
 
   try {
+    batch_options.threads = static_cast<unsigned>(configured_threads());
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--jobs" && i + 1 < argc) {
+      const bool has_value = i + 1 < argc;
+      if (arg == "--jobs" && has_value) {
         manifest = argv[++i];
-      } else if (arg == "--threads" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          // stoul wraps "-1" to ~4 billion workers.
-          std::cerr << "--threads wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long threads = std::stoul(value);
-        if (threads == 0 || threads > 4096) {
-          std::cerr << "--threads wants 1..4096\n";
-          usage(std::cerr);
-          return 2;
-        }
-        batch_options.threads = static_cast<unsigned>(threads);
-      } else if (arg == "--strategy" && i + 1 < argc) {
-        const auto strategy = core::strategy_from_name(argv[++i]);
-        if (!strategy.has_value()) {
-          std::cerr << "unknown strategy '" << argv[i] << "'\n";
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.strategy = *strategy;
-      } else if (arg == "--ports" && i + 1 < argc) {
-        const std::string spec = argv[++i];
-        const auto c1 = spec.find(',');
-        const auto c2 = spec.find(',', c1 + 1);
-        if (c1 == std::string::npos || c2 == std::string::npos ||
-            spec.find(',', c2 + 1) != std::string::npos) {
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.a_base = spec.substr(0, c1);
-        defaults.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
-        defaults.z_base = spec.substr(c2 + 1);
-      } else if (arg == "--max-terms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          // stoull silently wraps negatives to huge budgets.
-          std::cerr << "--max-terms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.max_terms = std::stoull(value);
-      } else if (arg == "--library" && i + 1 < argc) {
-        defaults.library = argv[++i];
-      } else if (arg == "--queue-cap" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--queue-cap wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        batch_options.max_queued = std::stoull(value);
-      } else if (arg == "--deadline-ms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--deadline-ms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        default_deadline_ms = std::stoull(value);
-      } else if (arg == "--admission" && i + 1 < argc) {
+      } else if (arg == "--threads" && has_value) {
+        batch_options.threads = static_cast<unsigned>(
+            parse_uint("--threads", argv[++i], 1, kMaxThreads));
+      } else if (arg == "--strategy" && has_value) {
+        core::set_job_option(defaults, "strategy", argv[++i]);
+      } else if (arg == "--ports" && has_value) {
+        core::set_job_option(defaults, "ports", argv[++i]);
+      } else if (arg == "--max-terms" && has_value) {
+        core::set_job_option(defaults, "max_terms", argv[++i]);
+      } else if (arg == "--library" && has_value) {
+        core::set_job_option(defaults, "library", argv[++i]);
+      } else if (arg == "--queue-cap" && has_value) {
+        batch_options.max_queued = parse_uint("--queue-cap", argv[++i]);
+      } else if (arg == "--deadline-ms" && has_value) {
+        core::set_job_option(defaults, "deadline_ms", argv[++i]);
+      } else if (arg == "--admission" && has_value) {
         const std::string mode = argv[++i];
-        if (mode == "block") {
-          admission_reject = false;
-        } else if (mode == "reject") {
-          admission_reject = true;
-        } else {
-          std::cerr << "--admission wants 'block' or 'reject'\n";
-          usage(std::cerr);
-          return 2;
+        if (mode != "block" && mode != "reject") {
+          throw InvalidArgument("--admission wants 'block' or 'reject'");
         }
+        admission_reject = mode == "reject";
       } else if (arg == "--no-verify") {
-        defaults.verify_with_golden = false;
+        core::set_job_option(defaults, "verify", "0");
       } else if (arg == "--no-cache") {
         no_cache = true;
         batch_options.memoize = false;
-      } else if (arg == "--cache" && i + 1 < argc) {
+      } else if (arg == "--cache" && has_value) {
         cache_dir = argv[++i];
-      } else if (arg == "--cache-prune" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-prune wants a non-negative byte count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_prune = std::stoull(value);
-      } else if (arg == "--cache-cap" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-cap wants a positive byte count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_cap = std::stoull(value);
-      } else if (arg == "--cache-negative-ttl" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--cache-negative-ttl wants a non-negative second "
-                       "count\n";
-          usage(std::cerr);
-          return 2;
-        }
-        cache_negative_ttl = std::stoull(value);
-      } else if (arg == "--out" && i + 1 < argc) {
+      } else if (arg == "--cache-prune" && has_value) {
+        cache_prune = parse_uint("--cache-prune", argv[++i]);
+      } else if (arg == "--cache-cap" && has_value) {
+        cache_cap = parse_uint("--cache-cap", argv[++i]);
+      } else if (arg == "--cache-negative-ttl" && has_value) {
+        cache_negative_ttl = parse_uint("--cache-negative-ttl", argv[++i]);
+      } else if (arg == "--out" && has_value) {
         out_path = argv[++i];
       } else if (arg == "--quiet") {
         quiet = true;
@@ -280,13 +211,12 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-  } catch (const std::exception& e) {
-    // std::stoul/std::stoull reject non-numeric or overflowing values.
-    std::cerr << "bad numeric argument: " << e.what() << "\n";
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
     usage(std::cerr);
     return 2;
   }
-  if (manifest.empty() || batch_options.threads == 0) {
+  if (manifest.empty()) {
     usage(std::cerr);
     return 2;
   }
@@ -367,7 +297,6 @@ int main(int argc, char** argv) {
         break;
       }
       if (!job.has_value()) continue;
-      if (job->deadline_ms == 0) job->deadline_ms = default_deadline_ms;
       const auto callback =
           quiet ? core::BatchScheduler::Callback{} : on_complete;
       // Reject mode resolves over-cap submissions immediately (the future

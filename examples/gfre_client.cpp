@@ -188,52 +188,35 @@ int main(int argc, char** argv) {
   bool want_drain = false;
   bool want_ping = false;
   bool quiet = false;
-  std::uint64_t default_deadline_ms = 0;
-  core::FlowOptions defaults;
+  // Every job starts as a copy of this one; the flags below seed it
+  // through the manifest's own option parser.
+  core::BatchJob defaults;
 
   try {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--socket" && i + 1 < argc) {
+      const bool has_value = i + 1 < argc;
+      if (arg == "--socket" && has_value) {
         socket_path = argv[++i];
-      } else if (arg == "--tcp" && i + 1 < argc) {
-        const unsigned long port = std::stoul(argv[++i]);
-        if (port == 0 || port > 65535) {
-          std::cerr << "--tcp wants a port in 1..65535\n";
-          return 2;
-        }
-        tcp_port = static_cast<unsigned short>(port);
-      } else if (arg == "--jobs" && i + 1 < argc) {
+      } else if (arg == "--tcp" && has_value) {
+        tcp_port = static_cast<unsigned short>(
+            parse_uint("--tcp", argv[++i], 1, 65535));
+      } else if (arg == "--jobs" && has_value) {
         manifest = argv[++i];
-      } else if (arg == "--out" && i + 1 < argc) {
+      } else if (arg == "--out" && has_value) {
         out_path = argv[++i];
-      } else if (arg == "--strategy" && i + 1 < argc) {
-        const auto strategy = core::strategy_from_name(argv[++i]);
-        if (!strategy.has_value()) {
-          std::cerr << "unknown strategy '" << argv[i] << "'\n";
-          return 2;
-        }
-        defaults.strategy = *strategy;
-      } else if (arg == "--ports" && i + 1 < argc) {
-        const std::string spec = argv[++i];
-        const auto c1 = spec.find(',');
-        const auto c2 = spec.find(',', c1 + 1);
-        if (c1 == std::string::npos || c2 == std::string::npos ||
-            spec.find(',', c2 + 1) != std::string::npos) {
-          usage(std::cerr);
-          return 2;
-        }
-        defaults.a_base = spec.substr(0, c1);
-        defaults.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
-        defaults.z_base = spec.substr(c2 + 1);
-      } else if (arg == "--max-terms" && i + 1 < argc) {
-        defaults.max_terms = std::stoull(argv[++i]);
-      } else if (arg == "--library" && i + 1 < argc) {
-        defaults.library = argv[++i];
-      } else if (arg == "--deadline-ms" && i + 1 < argc) {
-        default_deadline_ms = std::stoull(argv[++i]);
+      } else if (arg == "--strategy" && has_value) {
+        core::set_job_option(defaults, "strategy", argv[++i]);
+      } else if (arg == "--ports" && has_value) {
+        core::set_job_option(defaults, "ports", argv[++i]);
+      } else if (arg == "--max-terms" && has_value) {
+        core::set_job_option(defaults, "max_terms", argv[++i]);
+      } else if (arg == "--library" && has_value) {
+        core::set_job_option(defaults, "library", argv[++i]);
+      } else if (arg == "--deadline-ms" && has_value) {
+        core::set_job_option(defaults, "deadline_ms", argv[++i]);
       } else if (arg == "--no-verify") {
-        defaults.verify_with_golden = false;
+        core::set_job_option(defaults, "verify", "0");
       } else if (arg == "--stats") {
         want_stats = true;
       } else if (arg == "--drain") {
@@ -250,8 +233,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-  } catch (const std::exception& e) {
-    std::cerr << "bad numeric argument: " << e.what() << "\n";
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
     usage(std::cerr);
     return 2;
   }
@@ -313,7 +296,6 @@ int main(int argc, char** argv) {
         auto job =
             core::parse_manifest_line(line, lineno, manifest, base, defaults);
         if (!job.has_value()) continue;
-        if (job->deadline_ms == 0) job->deadline_ms = default_deadline_ms;
         if (job->name.empty()) job->name = job->path;
         names.push_back(job->name);
         // The id field here is a client-side ordinal; the server assigns

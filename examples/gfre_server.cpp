@@ -15,12 +15,14 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "serve/server.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -56,10 +58,15 @@ void usage(std::ostream& os) {
      << "  --cache-negative-ttl N  expire cached error diagnoses older\n"
      << "                     than N seconds; requires --cache\n"
      << "  --drain-grace-ms N wall-clock budget for draining on SIGTERM\n"
-     << "                     and at worker EOF (default 30000)\n"
+     << "                     and at worker EOF (default 30000, at\n"
+     << "                     most 86400000 = one day)\n"
      << "  --quiet            suppress the startup banner\n"
      << "  --help             print this message and exit\n";
 }
+
+// Longer grace periods would overflow the steady-clock deadlines they
+// become; a day is already far past any useful drain.
+constexpr std::uint64_t kMaxDrainGraceMs = 86'400'000;
 
 // SIGTERM/SIGINT must reach the poll loop without touching anything
 // async-signal-unsafe: one byte down the server's stop pipe is the whole
@@ -88,63 +95,50 @@ int main(int argc, char** argv) {
       const std::string arg = argv[i];
       const auto want_value = [&](const char* flag) -> std::string {
         if (i + 1 >= argc) {
-          std::cerr << flag << " wants a value\n";
-          usage(std::cerr);
-          std::exit(2);
+          throw InvalidArgument(std::string(flag) + " wants a value");
         }
         return argv[++i];
       };
+      const auto want_uint = [&](const char* flag, std::uint64_t lo,
+                                 std::uint64_t hi) {
+        return parse_uint(flag, want_value(flag), lo, hi);
+      };
+      constexpr std::uint64_t kAny = std::numeric_limits<std::uint64_t>::max();
       if (arg == "--socket") {
         options.socket_path = want_value("--socket");
       } else if (arg == "--tcp") {
-        const unsigned long port = std::stoul(want_value("--tcp"));
-        if (port == 0 || port > 65535) {
-          std::cerr << "--tcp wants a port in 1..65535\n";
-          return 2;
-        }
-        options.tcp_port = static_cast<unsigned short>(port);
+        options.tcp_port =
+            static_cast<unsigned short>(want_uint("--tcp", 1, 65535));
       } else if (arg == "--workers") {
-        const unsigned long n = std::stoul(want_value("--workers"));
-        if (n == 0 || n > 256) {
-          std::cerr << "--workers wants 1..256\n";
-          return 2;
-        }
-        options.coordinator.workers = static_cast<unsigned>(n);
+        options.coordinator.workers =
+            static_cast<unsigned>(want_uint("--workers", 1, 256));
       } else if (arg == "--worker-threads") {
-        const unsigned long n = std::stoul(want_value("--worker-threads"));
-        if (n == 0 || n > 4096) {
-          std::cerr << "--worker-threads wants 1..4096\n";
-          return 2;
-        }
-        options.coordinator.threads_per_worker = static_cast<unsigned>(n);
+        options.coordinator.threads_per_worker = static_cast<unsigned>(
+            want_uint("--worker-threads", 1, kMaxThreads));
       } else if (arg == "--queue-cap") {
         options.coordinator.worker_queue_cap =
-            std::stoull(want_value("--queue-cap"));
+            want_uint("--queue-cap", 0, kAny);
       } else if (arg == "--admission") {
         const std::string mode = want_value("--admission");
-        if (mode == "block") {
-          options.admission_reject = false;
-        } else if (mode == "reject") {
-          options.admission_reject = true;
-        } else {
-          std::cerr << "--admission wants 'block' or 'reject'\n";
-          return 2;
+        if (mode != "block" && mode != "reject") {
+          throw InvalidArgument("--admission wants 'block' or 'reject'");
         }
+        options.admission_reject = mode == "reject";
       } else if (arg == "--retries") {
-        options.coordinator.max_retries =
-            static_cast<unsigned>(std::stoul(want_value("--retries")));
+        options.coordinator.max_retries = static_cast<unsigned>(
+            want_uint("--retries", 0, std::numeric_limits<unsigned>::max()));
       } else if (arg == "--no-respawn") {
         options.coordinator.respawn = false;
       } else if (arg == "--cache") {
         options.coordinator.worker.cache_dir = want_value("--cache");
       } else if (arg == "--cache-cap") {
         options.coordinator.worker.cache_cap_bytes =
-            std::stoull(want_value("--cache-cap"));
+            want_uint("--cache-cap", 0, kAny);
       } else if (arg == "--cache-negative-ttl") {
         options.coordinator.worker.cache_negative_ttl_seconds =
-            std::stoull(want_value("--cache-negative-ttl"));
+            want_uint("--cache-negative-ttl", 0, kAny);
       } else if (arg == "--drain-grace-ms") {
-        const auto ms = std::stoull(want_value("--drain-grace-ms"));
+        const auto ms = want_uint("--drain-grace-ms", 0, kMaxDrainGraceMs);
         options.shutdown_grace = std::chrono::milliseconds(ms);
         options.coordinator.worker.drain_grace_ms = ms;
       } else if (arg == "--quiet") {
@@ -157,8 +151,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-  } catch (const std::exception& e) {
-    std::cerr << "bad numeric argument: " << e.what() << "\n";
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
     usage(std::cerr);
     return 2;
   }

@@ -18,6 +18,7 @@
 // correct key to disk — how the data/obf/ corpus fixtures were made.
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -67,81 +68,43 @@ int main(int argc, char** argv) {
   std::string pass_text = "keygate";
   unsigned default_strength = 2;
   obf::CampaignOptions campaign;
-  campaign.threads = static_cast<unsigned>(configured_threads());
   std::string out_path, emit_obf, emit_key;
   bool quiet = false;
 
   try {
+    campaign.threads = static_cast<unsigned>(configured_threads());
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--family" && i + 1 < argc) {
+      const bool has_value = i + 1 < argc;
+      if (arg == "--family" && has_value) {
         scenario.family = argv[++i];
-      } else if (arg == "--m" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--m wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long m = std::stoul(value);
-        if (m < 2 || m > 1024) {
-          std::cerr << "--m wants 2..1024\n";
-          usage(std::cerr);
-          return 2;
-        }
-        scenario.m = static_cast<unsigned>(m);
-      } else if (arg == "--pass" && i + 1 < argc) {
+      } else if (arg == "--m" && has_value) {
+        scenario.m =
+            static_cast<unsigned>(parse_uint("--m", argv[++i], 2, 1024));
+      } else if (arg == "--pass" && has_value) {
         pass_text = argv[++i];
-      } else if (arg == "--strength" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--strength wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        default_strength = static_cast<unsigned>(std::stoul(value));
-      } else if (arg == "--key" && i + 1 < argc) {
+      } else if (arg == "--strength" && has_value) {
+        default_strength = static_cast<unsigned>(parse_uint(
+            "--strength", argv[++i], 0, std::numeric_limits<unsigned>::max()));
+      } else if (arg == "--key" && has_value) {
         const std::string value = argv[++i];
         if (const auto mode = obf::key_mode_from_name(value)) {
           scenario.key_mode = *mode;
         } else {
           scenario.explicit_key = obf::parse_key(value);  // throws on junk
         }
-      } else if (arg == "--seed" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--seed wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        scenario.seed = std::stoull(value);
-      } else if (arg == "--threads" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--threads wants a positive integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        const unsigned long threads = std::stoul(value);
-        if (threads == 0 || threads > 4096) {
-          std::cerr << "--threads wants 1..4096\n";
-          usage(std::cerr);
-          return 2;
-        }
-        campaign.threads = static_cast<unsigned>(threads);
-      } else if (arg == "--max-terms" && i + 1 < argc) {
-        const std::string value = argv[++i];
-        if (value.empty() || value[0] == '-') {
-          std::cerr << "--max-terms wants a non-negative integer\n";
-          usage(std::cerr);
-          return 2;
-        }
-        campaign.max_terms = std::stoull(value);
-      } else if (arg == "--out" && i + 1 < argc) {
+      } else if (arg == "--seed" && has_value) {
+        scenario.seed = parse_uint("--seed", argv[++i]);
+      } else if (arg == "--threads" && has_value) {
+        campaign.threads = static_cast<unsigned>(
+            parse_uint("--threads", argv[++i], 1, kMaxThreads));
+      } else if (arg == "--max-terms" && has_value) {
+        campaign.max_terms = parse_uint("--max-terms", argv[++i]);
+      } else if (arg == "--out" && has_value) {
         out_path = argv[++i];
-      } else if (arg == "--emit-obf" && i + 1 < argc) {
+      } else if (arg == "--emit-obf" && has_value) {
         emit_obf = argv[++i];
-      } else if (arg == "--emit-key" && i + 1 < argc) {
+      } else if (arg == "--emit-key" && has_value) {
         emit_key = argv[++i];
       } else if (arg == "--quiet") {
         quiet = true;
@@ -149,9 +112,7 @@ int main(int argc, char** argv) {
         usage(std::cout);
         return 0;
       } else {
-        std::cerr << "unknown argument '" << arg << "'\n";
-        usage(std::cerr);
-        return 2;
+        throw InvalidArgument("unknown argument '" + arg + "'");
       }
     }
     scenario.passes = obf::parse_pass_stack(pass_text, default_strength);

@@ -9,6 +9,7 @@
 #include "core/flow.hpp"
 #include "gen/mastrovito.hpp"
 #include "gf2m/field.hpp"
+#include "util/error.hpp"
 #include "util/options.hpp"
 
 int main() {
@@ -30,7 +31,12 @@ int main() {
   //    (Algorithm 1 + Theorem 2), P(x) recovery (Algorithm 2 + Theorem 3),
   //    reduction-matrix validation, and the golden-model check.
   core::FlowOptions options;
-  options.threads = static_cast<unsigned>(configured_threads());
+  try {
+    options.threads = static_cast<unsigned>(configured_threads());
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  }
   const core::FlowReport report = core::reverse_engineer(netlist, options);
 
   std::cout << report.summary() << "\n";

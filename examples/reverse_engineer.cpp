@@ -4,18 +4,13 @@
 //   reverse_engineer [options] <netlist.{eqn,blif,v}>
 //   reverse_engineer --demo           (generate + analyze a sample)
 //
-// Options:
-//   --threads N        extraction threads (default: hardware)
-//   --ports a,b,z      operand/result port base names (default a,b,z)
-//   --strategy NAME    rewriting backend: packed (default), indexed
-//   --library FILE     cell library (.lib subset) resolving non-builtin cells
-//   --no-verify        skip the golden-model comparison
-//   --trace BIT        print the Algorithm-1 trace of one output bit
+// Options: see usage() below (or run `reverse_engineer --help`); the CI
+// docs job keeps that listing in sync with README.md's flag table.
 //
 // Exit code 0 iff a GF(2^m) multiplier was recognized, its P(x) is
 // irreducible, and all checks passed.
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "core/batch.hpp"
@@ -29,14 +24,24 @@
 
 namespace {
 
-void usage() {
-  std::cerr
-      << "usage: reverse_engineer [--threads N] [--ports a,b,z]\n"
-      << "                        [--strategy packed|indexed]\n"
-      << "                        [--library cells.lib]\n"
-      << "                        [--no-verify] [--trace BIT]\n"
-      << "                        <netlist.eqn|netlist.blif|netlist.v>\n"
-      << "       reverse_engineer --demo\n";
+void usage(std::ostream& os) {
+  os << "usage: reverse_engineer [--threads N] [--ports a,b,z]\n"
+     << "                        [--strategy packed|indexed]\n"
+     << "                        [--library cells.lib]\n"
+     << "                        [--no-verify] [--trace BIT]\n"
+     << "                        <netlist.eqn|netlist.blif|netlist.v>\n"
+     << "       reverse_engineer --demo | --help\n"
+     << "\n"
+     << "  --threads N        extraction threads, 1..4096 (default:\n"
+     << "                     GFRE_THREADS, else hardware)\n"
+     << "  --ports a,b,z      operand/result port base names\n"
+     << "  --strategy NAME    rewriting backend: packed (default), indexed\n"
+     << "  --library FILE     cell library (.lib subset) resolving\n"
+     << "                     non-builtin cells\n"
+     << "  --no-verify        skip the golden-model comparison\n"
+     << "  --trace BIT        print the Algorithm-1 trace of one output bit\n"
+     << "  --demo             generate and analyze a GF(2^233) multiplier\n"
+     << "  --help             print this message and exit\n";
 }
 
 }  // namespace
@@ -45,48 +50,48 @@ int main(int argc, char** argv) {
   using namespace gfre;
 
   std::string path;
-  core::FlowOptions options;
-  options.threads = static_cast<unsigned>(configured_threads());
+  // The job-option vocabulary of gfre_batch manifests parses --ports,
+  // --strategy, --library and --no-verify; only job.options is used.
+  core::BatchJob job;
+  core::FlowOptions& options = job.options;
   bool demo = false;
   long trace_bit = -1;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--demo") {
-      demo = true;
-    } else if (arg == "--strategy" && i + 1 < argc) {
-      const auto strategy = core::strategy_from_name(argv[++i]);
-      if (!strategy.has_value()) {
-        std::cerr << "unknown strategy '" << argv[i] << "'\n";
-        usage();
+  try {
+    options.threads = static_cast<unsigned>(configured_threads());
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool has_value = i + 1 < argc;
+      if (arg == "--demo") {
+        demo = true;
+      } else if (arg == "--help") {
+        usage(std::cout);
+        return 0;
+      } else if (arg == "--strategy" && has_value) {
+        core::set_job_option(job, "strategy", argv[++i]);
+      } else if (arg == "--no-verify") {
+        core::set_job_option(job, "verify", "0");
+      } else if (arg == "--library" && has_value) {
+        core::set_job_option(job, "library", argv[++i]);
+      } else if (arg == "--threads" && has_value) {
+        options.threads = static_cast<unsigned>(
+            parse_uint("--threads", argv[++i], 1, kMaxThreads));
+      } else if (arg == "--trace" && has_value) {
+        trace_bit = static_cast<long>(parse_uint(
+            "--trace", argv[++i], 0, std::numeric_limits<unsigned>::max()));
+      } else if (arg == "--ports" && has_value) {
+        core::set_job_option(job, "ports", argv[++i]);
+      } else if (!arg.empty() && arg[0] == '-') {
+        usage(std::cerr);
         return 2;
+      } else {
+        path = arg;
       }
-      options.strategy = *strategy;
-    } else if (arg == "--no-verify") {
-      options.verify_with_golden = false;
-    } else if (arg == "--library" && i + 1 < argc) {
-      options.library = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      options.threads = static_cast<unsigned>(std::stoul(argv[++i]));
-    } else if (arg == "--trace" && i + 1 < argc) {
-      trace_bit = std::stol(argv[++i]);
-    } else if (arg == "--ports" && i + 1 < argc) {
-      const std::string spec = argv[++i];
-      const auto c1 = spec.find(',');
-      const auto c2 = spec.find(',', c1 + 1);
-      if (c1 == std::string::npos || c2 == std::string::npos) {
-        usage();
-        return 2;
-      }
-      options.a_base = spec.substr(0, c1);
-      options.b_base = spec.substr(c1 + 1, c2 - c1 - 1);
-      options.z_base = spec.substr(c2 + 1);
-    } else if (!arg.empty() && arg[0] == '-') {
-      usage();
-      return 2;
-    } else {
-      path = arg;
     }
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
   }
 
   try {
@@ -98,7 +103,7 @@ int main(int argc, char** argv) {
                 << "over " << field.to_string() << "\n";
       netlist = gen::generate_mastrovito(field);
     } else if (path.empty()) {
-      usage();
+      usage(std::cerr);
       return 2;
     } else {
       netlist = core::load_netlist_file(path, options.library);

@@ -5,11 +5,13 @@
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <set>
 #include <sstream>
 
 #include "core/scheduler.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 #include "util/timer.hpp"
 
 namespace gfre::core {
@@ -72,34 +74,128 @@ BatchReport run_batch(std::vector<BatchJob> jobs,
 }
 
 // ---------------------------------------------------------------------------
-// Manifest parsing
+// The job-option vocabulary and manifest parsing
 // ---------------------------------------------------------------------------
 
 namespace {
 
-bool parse_bool(const std::string& value) {
+bool parse_bool(std::string_view key, std::string_view value) {
   if (value == "1" || value == "true" || value == "yes") return true;
   if (value == "0" || value == "false" || value == "no") return false;
-  throw InvalidArgument("expected a boolean, got '" + value + "'");
+  throw InvalidArgument(std::string(key) + " wants a boolean, got '" +
+                        std::string(value) + "'");
+}
+
+/// Resolves a relative path against `base_dir` (empty: kept as given).
+std::string resolve(std::string_view value, const std::string& base_dir) {
+  const std::filesystem::path p(value);
+  if (base_dir.empty() || p.is_absolute()) return p.string();
+  return (std::filesystem::path(base_dir) / p).string();
+}
+
+struct JobOption {
+  std::string_view key;
+  JobOptionKind kind;
+  void (*set)(BatchJob&, std::string_view value, const std::string& base);
+};
+
+// The whole vocabulary: one row per key, in the order submit_message
+// writes them.
+constexpr JobOption kJobOptions[] = {
+    {"name", JobOptionKind::Text,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.name = v;
+     }},
+    {"ports", JobOptionKind::Text,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       // 'a,b,z,extra' must not fold ",extra" into the z base name —
+       // that is a job analyzing the wrong port.
+       const auto c1 = v.find(',');
+       const auto c2 = c1 == v.npos ? v.npos : v.find(',', c1 + 1);
+       if (c2 == v.npos || v.find(',', c2 + 1) != v.npos) {
+         throw InvalidArgument("ports wants exactly three names a,b,z, got '" +
+                               std::string(v) + "'");
+       }
+       job.options.a_base = v.substr(0, c1);
+       job.options.b_base = v.substr(c1 + 1, c2 - c1 - 1);
+       job.options.z_base = v.substr(c2 + 1);
+     }},
+    {"strategy", JobOptionKind::Text,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       const auto strategy = strategy_from_name(v);
+       if (!strategy.has_value()) {
+         throw InvalidArgument("unknown strategy '" + std::string(v) +
+                               "' (want packed|indexed)");
+       }
+       job.options.strategy = *strategy;
+     }},
+    {"infer", JobOptionKind::Bool,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.options.infer_ports = parse_bool("infer", v);
+     }},
+    {"verify", JobOptionKind::Bool,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.options.verify_with_golden = parse_bool("verify", v);
+     }},
+    {"permute", JobOptionKind::Bool,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.options.try_output_permutation = parse_bool("permute", v);
+     }},
+    {"max_terms", JobOptionKind::Integer,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.options.max_terms = parse_uint(
+           "max_terms", v, 0, std::numeric_limits<std::size_t>::max());
+     }},
+    {"library", JobOptionKind::Text,
+     [](BatchJob& job, std::string_view v, const std::string& base) {
+       job.options.library = v.empty() ? std::string() : resolve(v, base);
+     }},
+    {"deadline_ms", JobOptionKind::Integer,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       job.deadline_ms = parse_uint("deadline_ms", v);
+     }},
+    {"priority", JobOptionKind::Text,
+     [](BatchJob& job, std::string_view v, const std::string&) {
+       const auto priority = priority_from_name(v);
+       if (!priority.has_value()) {
+         throw InvalidArgument("unknown priority '" + std::string(v) +
+                               "' (want high|normal|low)");
+       }
+       job.priority = *priority;
+     }},
+};
+
+const JobOption& job_option(std::string_view key) {
+  for (const JobOption& option : kJobOptions) {
+    if (option.key == key) return option;
+  }
+  throw InvalidArgument("unknown job option '" + std::string(key) + "'");
 }
 
 }  // namespace
+
+JobOptionKind job_option_kind(std::string_view key) {
+  return job_option(key).kind;
+}
+
+void set_job_option(BatchJob& job, std::string_view key,
+                    std::string_view value, const std::string& base_dir) {
+  job_option(key).set(job, value, base_dir);
+}
 
 std::optional<BatchJob> parse_manifest_line(const std::string& line,
                                             int lineno,
                                             const std::string& manifest_path,
                                             const std::string& base_dir,
-                                            const FlowOptions& defaults) {
+                                            const BatchJob& defaults) {
   std::string text = line;
   // Manifests written on Windows (or fetched through a CRLF-normalizing
   // transport) end lines in \r\n; getline leaves the \r attached.
   if (!text.empty() && text.back() == '\r') text.pop_back();
 
-  const std::filesystem::path base(base_dir);
   std::istringstream tokens(text);
   std::string token;
-  BatchJob job;
-  job.options = defaults;
+  BatchJob job = defaults;
   bool have_path = false;
   bool have_options = false;
   std::set<std::string> seen_keys;
@@ -107,8 +203,7 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
     if (token[0] == '#') break;
     const auto eq = token.find('=');
     if (!have_path && eq == std::string::npos) {
-      std::filesystem::path p(token);
-      job.path = p.is_absolute() ? p.string() : (base / p).string();
+      job.path = resolve(token, base_dir);
       have_path = true;
       continue;
     }
@@ -117,7 +212,6 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
                        "expected key=value, got '" + token + "'");
     }
     const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
     have_options = true;
     // A repeated key is near-certainly an editing mistake ("deadline_ms=1
     // deadline_ms=1000"); letting the last one win silently runs the job
@@ -127,68 +221,9 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
                        "duplicate manifest key '" + key + "'");
     }
     try {
-      if (key == "name") {
-        job.name = value;
-      } else if (key == "ports") {
-        const auto c1 = value.find(',');
-        const auto c2 = value.find(',', c1 + 1);
-        if (c1 == std::string::npos || c2 == std::string::npos) {
-          throw InvalidArgument("want ports=a,b,z");
-        }
-        // 'ports=a,b,z,extra' must not silently fold ",extra" into the
-        // z base name — that is a job analyzing the wrong port.
-        if (value.find(',', c2 + 1) != std::string::npos) {
-          throw InvalidArgument("want exactly three ports=a,b,z, got '" +
-                                value + "'");
-        }
-        job.options.a_base = value.substr(0, c1);
-        job.options.b_base = value.substr(c1 + 1, c2 - c1 - 1);
-        job.options.z_base = value.substr(c2 + 1);
-      } else if (key == "strategy") {
-        const auto strategy = strategy_from_name(value);
-        if (!strategy.has_value()) {
-          throw InvalidArgument("unknown strategy '" + value + "'");
-        }
-        job.options.strategy = *strategy;
-      } else if (key == "infer") {
-        job.options.infer_ports = parse_bool(value);
-      } else if (key == "verify") {
-        job.options.verify_with_golden = parse_bool(value);
-      } else if (key == "permute") {
-        job.options.try_output_permutation = parse_bool(value);
-      } else if (key == "max_terms") {
-        // stoull would silently wrap "-1" to 2^64-1, disabling the very
-        // budget the key sets.
-        if (value.empty() || value[0] == '-') {
-          throw InvalidArgument("max_terms wants a non-negative integer, "
-                                "got '" + value + "'");
-        }
-        job.options.max_terms = std::stoull(value);
-      } else if (key == "deadline_ms") {
-        // Same wrap hazard as max_terms: "-1" must not become a 2^64-1 ms
-        // deadline (i.e. no deadline at all).
-        if (value.empty() || value[0] == '-') {
-          throw InvalidArgument("deadline_ms wants a non-negative integer, "
-                                "got '" + value + "'");
-        }
-        job.deadline_ms = std::stoull(value);
-      } else if (key == "library") {
-        // Library paths resolve like netlist paths: against the
-        // manifest's directory.
-        std::filesystem::path p(value);
-        job.options.library =
-            p.is_absolute() ? p.string() : (base / p).string();
-      } else if (key == "priority") {
-        const auto priority = priority_from_name(value);
-        if (!priority.has_value()) {
-          throw InvalidArgument("unknown priority '" + value +
-                                "' (want high|normal|low)");
-        }
-        job.priority = *priority;
-      } else {
-        throw InvalidArgument("unknown manifest key '" + key + "'");
-      }
-    } catch (const std::exception& e) {
+      set_job_option(job, key, std::string_view(token).substr(eq + 1),
+                     base_dir);
+    } catch (const Error& e) {
       throw ParseError(manifest_path, lineno, e.what());
     }
   }
@@ -206,7 +241,7 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
 }
 
 std::vector<BatchJob> parse_manifest(const std::string& path,
-                                     const FlowOptions& defaults) {
+                                     const BatchJob& defaults) {
   std::ifstream in(path);
   if (!in) throw Error("cannot open manifest '" + path + "'");
   const std::string base =

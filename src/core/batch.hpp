@@ -111,18 +111,6 @@ struct BatchJobResult {
   double seconds = 0.0;
 };
 
-/// The latency-vs-throughput knob for the worker claim loop (within each
-/// priority class — class order always comes first).
-enum class SchedulingPolicy {
-  /// Default.  Maximize pool utilization: keep worker/job affinity, start
-  /// queued setups before stealing, steal from the deepest cone backlog.
-  Throughput,
-  /// Minimize time-to-first-result: finish the oldest in-flight job first
-  /// (workers converge on it, ignoring affinity), only then start new
-  /// setups.
-  Latency,
-};
-
 struct BatchOptions {
   /// Shared pool width (>= 1).
   unsigned threads = 1;
@@ -141,7 +129,6 @@ struct BatchOptions {
   /// not a lost result: the persistent disk layer (result_cache below) is
   /// consulted on every memo miss, including eviction-induced ones.
   std::size_t memo_max_entries = 4096;
-  SchedulingPolicy policy = SchedulingPolicy::Throughput;
   /// Optional persistent cross-process cache (core/result_cache.hpp).
   /// When set (and memoize is on — the disk layer sits behind the
   /// in-memory one), every in-memory miss consults the disk store before
@@ -231,17 +218,37 @@ NetlistHash netlist_content_hash(const nl::Netlist& netlist);
 nl::Netlist load_netlist_file(const std::string& path,
                               const std::string& library_path = {});
 
+/// Sets one job option from its text form — the one parser behind
+/// manifest lines, wire submit fields and CLI default flags, which all
+/// share this vocabulary:
+///   name=X  ports=a,b,z  strategy=packed|indexed  infer=0|1  verify=0|1
+///   permute=0|1  max_terms=N  deadline_ms=N  priority=high|normal|low
+///   library=cells.lib
+/// Booleans take 1/0, true/false or yes/no; integers go through
+/// parse_uint (util/options.hpp).  A relative non-empty `library`
+/// resolves against `base_dir` (empty: kept as given); an empty one
+/// clears it.  Throws InvalidArgument on an unknown key or a bad value.
+void set_job_option(BatchJob& job, std::string_view key,
+                    std::string_view value, const std::string& base_dir = {});
+
+/// What a job option takes.  Manifest lines and flags are text
+/// throughout; the wire codec (serve::job_from_wire) checks each field's
+/// JSON kind against this.
+enum class JobOptionKind { Text, Bool, Integer };
+
+/// The kind of value `key` takes; throws like set_job_option for a key
+/// outside the vocabulary.
+JobOptionKind job_option_kind(std::string_view key);
+
 /// Parses a batch manifest: one job per line,
-///   <netlist-path> [name=X] [ports=a,b,z] [strategy=packed|indexed]
-///                  [infer=0|1] [verify=0|1] [permute=0|1] [max_terms=N]
-///                  [deadline_ms=N] [priority=high|normal|low]
-///                  [library=cells.lib]
-/// with '#' comments and blank lines ignored.  Relative paths (netlist
-/// and library) resolve against the manifest's directory.  `defaults`
-/// seeds every job's options before the per-line overrides apply.  Throws
-/// ParseError on bad lines.
+///   <netlist-path> [key=value ...]
+/// with the keys of set_job_option, '#' comments and blank lines ignored.
+/// Relative paths (netlist and library) resolve against the manifest's
+/// directory.  Every job starts as a copy of `defaults` (CLI defaults
+/// seeded through set_job_option) before its line's options apply.
+/// Throws ParseError on bad lines.
 std::vector<BatchJob> parse_manifest(const std::string& path,
-                                     const FlowOptions& defaults = {});
+                                     const BatchJob& defaults = {});
 
 /// Parses ONE manifest line (the streaming building block parse_manifest
 /// loops over; examples/gfre_batch.cpp feeds lines straight into a
@@ -253,6 +260,6 @@ std::optional<BatchJob> parse_manifest_line(const std::string& line,
                                             int lineno,
                                             const std::string& manifest_path,
                                             const std::string& base_dir,
-                                            const FlowOptions& defaults = {});
+                                            const BatchJob& defaults = {});
 
 }  // namespace gfre::core

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <map>
 
 #include "util/error.hpp"
@@ -30,8 +31,10 @@ bool split_indexed(const std::string& name, std::string& base,
   } else {
     base = name.substr(0, pos);
   }
-  index = static_cast<unsigned>(std::stoul(name.substr(pos, end - pos)));
-  return true;
+  // An index past `unsigned` is no bit position: the name stays a plain
+  // net instead of wrapping onto a low bit (or throwing out_of_range).
+  const char* digits = name.data() + pos;
+  return std::from_chars(digits, name.data() + end, index).ec == std::errc{};
 }
 
 std::vector<WordPort> group_ports(const Netlist& netlist,

@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/options.hpp"
 
 namespace gfre::serve {
 
@@ -195,11 +196,7 @@ std::uint64_t WireValue::as_u64() const {
                 std::string(kind == Kind::String ? "string"
                             : kind == Kind::Bool ? "bool"
                                                  : "null"));
-  std::uint64_t v = 0;
-  auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc{} || p != text.data() + text.size())
-    throw Error("wire: number '" + text + "' is not a non-negative integer");
-  return v;
+  return parse_uint("wire: number", text);
 }
 
 double WireValue::as_double() const {

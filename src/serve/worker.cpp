@@ -23,45 +23,35 @@ namespace gfre::serve {
 // The wire carries exactly the manifest-line option set (the client
 // already resolved relative paths), so a job routed through the server
 // runs with the same FlowOptions a gfre_batch run of the same manifest
-// would use — that is what makes the two JSONL reports diffable.
+// would use — that is what makes the two JSONL reports diffable.  Every
+// field but the envelope goes through core::set_job_option, which also
+// says which JSON kind each field must be.
 core::BatchJob job_from_wire(const WireObject& msg) {
   core::BatchJob job;
   job.path = require_string(msg, "path");
-  job.name = get_string(msg, "name");
+  for (const auto& [key, value] : msg) {
+    if (key == "op" || key == "id" || key == "path" ||
+        value.kind == WireValue::Kind::Null)
+      continue;
+    switch (core::job_option_kind(key)) {
+      case core::JobOptionKind::Text:
+        if (value.kind != WireValue::Kind::String)
+          throw Error("wire: field '" + key + "' must be a string");
+        core::set_job_option(job, key, value.text);
+        break;
+      case core::JobOptionKind::Bool:
+        if (value.kind != WireValue::Kind::Bool)
+          throw Error("wire: field '" + key + "' must be a bool");
+        core::set_job_option(job, key, value.boolean ? "1" : "0");
+        break;
+      case core::JobOptionKind::Integer:
+        if (value.kind != WireValue::Kind::Number)
+          throw Error("wire: field '" + key + "' must be a number");
+        core::set_job_option(job, key, value.text);
+        break;
+    }
+  }
   if (job.name.empty()) job.name = job.path;
-
-  core::FlowOptions& opt = job.options;
-  if (const std::string strategy = get_string(msg, "strategy");
-      !strategy.empty()) {
-    const auto parsed = core::strategy_from_name(strategy);
-    if (!parsed.has_value())
-      throw Error("unknown strategy '" + strategy + "'");
-    opt.strategy = *parsed;
-  }
-  if (const std::string ports = get_string(msg, "ports"); !ports.empty()) {
-    const auto c1 = ports.find(',');
-    const auto c2 = ports.find(',', c1 + 1);
-    if (c1 == std::string::npos || c2 == std::string::npos ||
-        ports.find(',', c2 + 1) != std::string::npos)
-      throw Error("ports wants exactly 'a,b,z'");
-    opt.a_base = ports.substr(0, c1);
-    opt.b_base = ports.substr(c1 + 1, c2 - c1 - 1);
-    opt.z_base = ports.substr(c2 + 1);
-  }
-  opt.infer_ports = get_bool(msg, "infer", opt.infer_ports);
-  opt.verify_with_golden = get_bool(msg, "verify", opt.verify_with_golden);
-  opt.try_output_permutation =
-      get_bool(msg, "permute", opt.try_output_permutation);
-  opt.max_terms = get_u64(msg, "max_terms", opt.max_terms);
-  opt.library = get_string(msg, "library");
-  job.deadline_ms = get_u64(msg, "deadline_ms", 0);
-  if (const std::string priority = get_string(msg, "priority");
-      !priority.empty()) {
-    const auto parsed = core::priority_from_name(priority);
-    if (!parsed.has_value())
-      throw Error("unknown priority '" + priority + "'");
-    job.priority = *parsed;
-  }
   return job;
 }
 

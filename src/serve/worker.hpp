@@ -23,11 +23,13 @@
 
 namespace gfre::serve {
 
-/// Decodes a submit message (fields: path required; name, ports "a,b,z",
-/// strategy, infer, verify, permute, max_terms, library, deadline_ms,
-/// priority optional) into a BatchJob.  Throws gfre::Error on bad fields.  The
-/// inverse of submit_message; also used by the server to decode client
-/// submissions, so client -> server -> worker is one codec, not three.
+/// Decodes a submit message into a BatchJob: `path` is required, every
+/// other field but `op` and `id` is a job option (core::set_job_option),
+/// of the JSON kind core::job_option_kind names; null means absent.
+/// Throws gfre::Error on an unknown field, a wrong kind or a bad value.
+/// The inverse of submit_message; also used by the server to decode
+/// client submissions, so client -> server -> worker is one codec, not
+/// three.
 core::BatchJob job_from_wire(const WireObject& msg);
 
 /// Encodes `job` as a submit op for worker/server consumption.  All

@@ -458,8 +458,8 @@ TEST(BatchManifest, ParsesCrlfTerminatedLines) {
 TEST(BatchManifest, SingleLineParserStreams) {
   // The streaming building block gfre_batch feeds: blank/comment lines are
   // nullopt, real lines are jobs, relative paths resolve against base_dir.
-  FlowOptions defaults;
-  defaults.max_terms = 77;
+  BatchJob defaults;
+  defaults.options.max_terms = 77;
   EXPECT_FALSE(parse_manifest_line("", 1, "m", "/base", defaults).has_value());
   EXPECT_FALSE(
       parse_manifest_line("  # note", 2, "m", "/base", defaults).has_value());
@@ -475,7 +475,7 @@ TEST(BatchManifest, SingleLineParserStreams) {
 }
 
 TEST(BatchManifest, ParsesDeadlineAndPriority) {
-  FlowOptions defaults;
+  BatchJob defaults;
   const auto job = parse_manifest_line(
       "x.eqn deadline_ms=250 priority=high", 1, "m", "/base", defaults);
   ASSERT_TRUE(job.has_value());
@@ -507,6 +507,61 @@ TEST(BatchManifest, ParsesDeadlineAndPriority) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("urgent"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(BatchManifest, LineOptionsOverrideCliDefaults) {
+  // The CLIs seed one defaults job through set_job_option; every line
+  // starts as a copy of it, so an explicit per-line value always wins —
+  // deadline_ms=0 included (it once lost to --deadline-ms).
+  BatchJob defaults;
+  set_job_option(defaults, "deadline_ms", "50");
+  set_job_option(defaults, "max_terms", "900");
+  set_job_option(defaults, "ports", "p,q,r");
+  set_job_option(defaults, "verify", "0");
+  const auto off =
+      parse_manifest_line("x.eqn deadline_ms=0", 1, "m", "/base", defaults);
+  ASSERT_TRUE(off.has_value());
+  EXPECT_EQ(off->deadline_ms, 0u) << "explicit deadline_ms=0 = no deadline";
+  EXPECT_EQ(off->options.max_terms, 900u);
+  EXPECT_EQ(off->options.z_base, "r");
+  EXPECT_FALSE(off->options.verify_with_golden);
+  const auto plain = parse_manifest_line("x.eqn", 2, "m", "/base", defaults);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(plain->deadline_ms, 50u);
+  const auto over = parse_manifest_line(
+      "x.eqn max_terms=0 ports=a,b,z verify=1", 3, "m", "/base", defaults);
+  ASSERT_TRUE(over.has_value());
+  EXPECT_EQ(over->options.max_terms, 0u);
+  EXPECT_EQ(over->options.a_base, "a");
+  EXPECT_TRUE(over->options.verify_with_golden);
+}
+
+TEST(BatchManifest, JobOptionVocabulary) {
+  BatchJob job;
+  set_job_option(job, "library", "cells.lib", "/base");
+  EXPECT_EQ(job.options.library, "/base/cells.lib");
+  set_job_option(job, "library", "/abs/cells.lib", "/base");
+  EXPECT_EQ(job.options.library, "/abs/cells.lib");
+  set_job_option(job, "library", "cells.lib");
+  EXPECT_EQ(job.options.library, "cells.lib") << "no base: kept as given";
+  set_job_option(job, "library", "", "/base");
+  EXPECT_EQ(job.options.library, "") << "empty clears a default library";
+  for (const char* yes : {"1", "true", "yes"}) {
+    job.options.infer_ports = false;
+    set_job_option(job, "infer", yes);
+    EXPECT_TRUE(job.options.infer_ports) << yes;
+  }
+  EXPECT_THROW(set_job_option(job, "infer", "2"), InvalidArgument);
+  EXPECT_THROW(set_job_option(job, "stratgy", "packed"), InvalidArgument);
+  EXPECT_THROW(job_option_kind("path"), InvalidArgument)
+      << "the netlist path is the line's identity, not an option";
+  EXPECT_EQ(job_option_kind("max_terms"), JobOptionKind::Integer);
+  EXPECT_EQ(job_option_kind("permute"), JobOptionKind::Bool);
+  EXPECT_EQ(job_option_kind("priority"), JobOptionKind::Text);
+  // ports must name exactly three words.
+  for (const char* bad : {"a,b", "a,b,z,extra", "abz", ""}) {
+    EXPECT_THROW(set_job_option(job, "ports", bad), InvalidArgument) << bad;
   }
 }
 

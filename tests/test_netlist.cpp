@@ -178,10 +178,15 @@ TEST(Ports, GroupedInputPortsRequireDenseIndices) {
   n.add_input("b0");
   n.add_input("b2");  // gap: b1 missing
   n.add_input("en");
+  // Indices past unsigned are plain names: a4294967296 must not wrap onto
+  // a0, and a 20-digit index must not throw.
+  n.add_input("a4294967296");
+  n.add_input("a99999999999999999999");
   const auto ports = input_word_ports(n);
   ASSERT_EQ(ports.size(), 1u);
   EXPECT_EQ(ports[0].base, "a");
   EXPECT_EQ(ports[0].width(), 2u);
+  EXPECT_EQ(n.var_name(ports[0].bits[0]), "a0");
 }
 
 TEST(Ports, MultiplierPortsValidation) {

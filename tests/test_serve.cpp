@@ -233,6 +233,109 @@ TEST(Wire, SubmitMessageRoundTripsTheJob) {
   }
 }
 
+/// Every field the job-option vocabulary drives, for equality checks.
+std::string describe(const core::BatchJob& job) {
+  const core::FlowOptions& o = job.options;
+  return job.path + "|" + job.name + "|" + o.a_base + "," + o.b_base + "," +
+         o.z_base + "|" + core::to_string(o.strategy) + "|" +
+         std::to_string(o.infer_ports) + std::to_string(o.verify_with_golden) +
+         std::to_string(o.try_output_permutation) + "|" +
+         std::to_string(o.max_terms) + "|" + o.library + "|" +
+         std::to_string(job.deadline_ms) + "|" + core::to_string(job.priority);
+}
+
+TEST(Wire, EveryJobOptionRoundTripsFromAManifestLine) {
+  // manifest line -> BatchJob -> submit_message -> job_from_wire, with
+  // every vocabulary key set away from its default.
+  const auto job = core::parse_manifest_line(
+      "x.eqn name=n1 ports=p,q,r strategy=indexed infer=1 verify=0 "
+      "permute=0 max_terms=77 deadline_ms=250 priority=low library=c.lib",
+      1, "m", "/base");
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->options.library, "/base/c.lib");
+  const core::BatchJob back =
+      job_from_wire(parse_wire_object(submit_message(3, *job)));
+  EXPECT_EQ(describe(back), describe(*job));
+  EXPECT_EQ(describe(back),
+            "/base/x.eqn|n1|p,q,r|indexed|100|77|/base/c.lib|250|low");
+}
+
+TEST(Wire, BadOptionValuesFailTheSameEverywhere) {
+  // One parser: the manifest, the wire and a CLI-defaults job all give
+  // the vocabulary's message.
+  const auto message_of = [](const auto& call) -> std::string {
+    try {
+      call();
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "<accepted>";
+  };
+  struct Case {
+    const char* key;
+    const char* text;  ///< manifest / CLI form
+    const char* wire;  ///< JSON value, or nullptr if not a JSON number
+  };
+  for (const Case& c : {Case{"max_terms", "12abc", nullptr},
+                        Case{"max_terms", "+5", nullptr},
+                        Case{"max_terms", "-1", "-1"},
+                        Case{"deadline_ms", "-1", "-1"},
+                        Case{"ports", "a,b", "\"a,b\""}}) {
+    const std::string key = c.key;
+    const std::string want = message_of([&] {
+      core::BatchJob defaults;
+      core::set_job_option(defaults, key, c.text);
+    });
+    ASSERT_NE(want, "<accepted>") << key << "=" << c.text;
+    EXPECT_NE(want.find(key), std::string::npos)
+        << want;
+    const std::string manifest = message_of([&] {
+      core::parse_manifest_line("x.eqn " + key + "=" + c.text, 9, "m.txt",
+                                "/base");
+    });
+    EXPECT_EQ(manifest, "m.txt:9: " + want);
+    if (c.wire != nullptr) {
+      const std::string wire = message_of([&] {
+        job_from_wire(parse_wire_object(
+            R"({"op": "submit", "path": "x.eqn", ")" + key + "\": " +
+            c.wire + "}"));
+      });
+      EXPECT_EQ(wire, want);
+    } else {
+      // Not a JSON number at all: the wire grammar refuses the line.
+      EXPECT_THROW(parse_wire_object(R"({"max_terms": )" +
+                                     std::string(c.text) + "}"),
+                   Error);
+    }
+  }
+}
+
+TEST(Wire, SubmitRejectsUnknownAndMistypedFields) {
+  const auto submit = [](const std::string& extra) {
+    return job_from_wire(parse_wire_object(
+        R"({"op": "submit", "id": 1, "path": "x.eqn", )" + extra + "}"));
+  };
+  EXPECT_EQ(submit(R"("strategy": "indexed")").options.strategy,
+            core::RewriteStrategy::Indexed);
+  EXPECT_EQ(submit(R"("name": null)").name, "x.eqn") << "null = absent";
+  // A mistyped field name used to be ignored silently.
+  try {
+    submit(R"("stratgy": "indexed")");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown job option 'stratgy'"),
+              std::string::npos)
+        << e.what();
+  }
+  // Each field has one JSON kind, fixed by the vocabulary.
+  EXPECT_THROW(submit(R"("infer": 1)"), Error);
+  EXPECT_THROW(submit(R"("infer": "1")"), Error);
+  EXPECT_THROW(submit(R"("max_terms": "5")"), Error);
+  EXPECT_THROW(submit(R"("max_terms": true)"), Error);
+  EXPECT_THROW(submit(R"("ports": 5)"), Error);
+  EXPECT_THROW(submit(R"("max_terms": 1.5)"), Error);
+}
+
 // ---------------------------------------------------------------------------
 // Coordinator
 // ---------------------------------------------------------------------------

@@ -377,5 +377,48 @@ TEST(Options, EnvParsing) {
   EXPECT_GE(configured_threads(), 1u);
 }
 
+TEST(Options, ParseUintIsStrict) {
+  EXPECT_EQ(parse_uint("n", "0"), 0u);
+  EXPECT_EQ(parse_uint("n", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_uint("n", "4096", 1, 4096), 4096u);
+  // Everything std::stoull accepts, wraps or truncates.
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "12abc", "0x10", "1.5",
+                          "18446744073709551616"}) {
+    EXPECT_THROW(parse_uint("n", bad), InvalidArgument) << "'" << bad << "'";
+  }
+  EXPECT_THROW(parse_uint("--threads", "0", 1, 4096), InvalidArgument);
+  EXPECT_THROW(parse_uint("--threads", "4097", 1, 4096), InvalidArgument);
+  try {
+    parse_uint("--threads", "abc", 1, 4096);
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--threads wants an integer in 1..4096, got 'abc'");
+  }
+  try {
+    parse_uint("max_terms", "-1");
+    FAIL() << "expected InvalidArgument";
+  } catch (const InvalidArgument& e) {
+    EXPECT_STREQ(e.what(), "max_terms wants a non-negative integer, got '-1'");
+  }
+}
+
+TEST(Options, ConfiguredThreadsIsBounded) {
+  // Only the parse is exercised here: no pool is ever started with these.
+  ::setenv("GFRE_THREADS", "8", 1);
+  EXPECT_EQ(configured_threads(), 8u);
+  ::setenv("GFRE_THREADS", "4096", 1);
+  EXPECT_EQ(configured_threads(), 4096u);
+  for (const char* bad : {"-1", "0", "4097", "99999999999", "abc", "12abc"}) {
+    ::setenv("GFRE_THREADS", bad, 1);
+    EXPECT_THROW(configured_threads(), InvalidArgument) << bad;
+  }
+  ::setenv("GFRE_THREADS", "", 1);
+  EXPECT_GE(configured_threads(), 1u) << "empty means unset";
+  ::unsetenv("GFRE_THREADS");
+  EXPECT_GE(configured_threads(), 1u);
+}
+
 }  // namespace
 }  // namespace gfre
