@@ -8,9 +8,10 @@
 // trinomial/pentanomial search (low/high trinomial, low/spread
 // pentanomial).
 //
-//   arch_survey [m]
-#include <cstdlib>
+//   arch_survey [m]      m in 2..1024
+//   arch_survey --help
 #include <iostream>
+#include <string>
 
 #include "core/flow.hpp"
 #include "gen/mastrovito.hpp"
@@ -23,8 +24,22 @@
 int main(int argc, char** argv) {
   using namespace gfre;
 
+  constexpr const char* kUsage =
+      "usage: arch_survey [m]   (field size 2..1024, default 233)\n"
+      "       arch_survey --help\n";
+  if (argc > 1 && std::string(argv[1]) == "--help") {
+    std::cout << kUsage;
+    return 0;
+  }
   unsigned m = 233;
-  if (argc > 1) m = static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
+  try {
+    if (argc > 2) throw InvalidArgument("too many arguments");
+    if (argc > 1)
+      m = static_cast<unsigned>(parse_uint("m", argv[1], 2, 1024));
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n" << kUsage;
+    return 2;
+  }
 
   std::vector<gf2::CatalogEntry> candidates;
   if (m == 233) {

@@ -6,14 +6,15 @@
 // and how the regression corpus under test was created.
 //
 //   export_netlists [m] [outdir]
-//     m       field size (default 16; uses the paper polynomial when the
-//             width is in the catalog, else the NIST-convention default)
+//     m       field size, 2..1024 (default 16; uses the paper polynomial
+//             when the width is in the catalog, else the NIST-convention
+//             default)
 //     outdir  output directory (default ".")
 //
 //   export_netlists --frontend-fixtures [m] [outdir] [cells.lib]
 //     Regenerates the frozen frontend fixtures: a cell-mapped Mastrovito
 //     multiplier rewritten onto the complex cells of the given library
-//     (default data/cells_basic.lib), written both flat
+//     (default data/frontend/cells_basic.lib), written both flat
 //     (mastrovito_hier_m<m>_flat.eqn) and as hierarchical structural
 //     Verilog (mastrovito_hier_m<m>.v + `include'd _cells.vh).  The two
 //     forms parse into bit-identical netlists — tests/test_frontend.cpp
@@ -36,6 +37,8 @@
 #include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
 #include "opt/passes.hpp"
+#include "util/error.hpp"
+#include "util/options.hpp"
 
 namespace {
 
@@ -160,23 +163,49 @@ int write_frontend_fixtures(unsigned m, const std::string& outdir,
   return 0;
 }
 
+void usage(std::ostream& os) {
+  os << "usage: export_netlists [m] [outdir]\n"
+     << "       export_netlists --frontend-fixtures [m] [outdir] "
+        "[cells.lib]\n"
+     << "       export_netlists --help\n"
+     << "  m          field size, 2..1024 (default 16)\n"
+     << "  outdir     output directory (default .)\n"
+     << "  cells.lib  library for the fixtures (default "
+        "data/frontend/cells_basic.lib)\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace gfre;
 
-  unsigned m = 16;
-  std::string outdir = ".";
-  if (argc > 1 && std::string(argv[1]) == "--frontend-fixtures") {
-    std::string library = "data/cells_basic.lib";
-    if (argc > 2)
-      m = static_cast<unsigned>(std::strtoul(argv[2], nullptr, 10));
-    if (argc > 3) outdir = argv[3];
-    if (argc > 4) library = argv[4];
-    return write_frontend_fixtures(m, outdir, library);
+  if (argc > 1 && std::string(argv[1]) == "--help") {
+    usage(std::cout);
+    return 0;
   }
-  if (argc > 1) m = static_cast<unsigned>(std::strtoul(argv[1], nullptr, 10));
-  if (argc > 2) outdir = argv[2];
+  const bool fixtures =
+      argc > 1 && std::string(argv[1]) == "--frontend-fixtures";
+  const int first = fixtures ? 2 : 1;  // index of the m argument
+  if (argc > first + (fixtures ? 3 : 2)) {
+    std::cerr << "error: too many arguments\n";
+    usage(std::cerr);
+    return 2;
+  }
+  unsigned m = 16;
+  try {
+    if (argc > first)
+      m = static_cast<unsigned>(parse_uint("m", argv[first], 2, 1024));
+  } catch (const Error& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    usage(std::cerr);
+    return 2;
+  }
+  const std::string outdir = argc > first + 1 ? argv[first + 1] : ".";
+  if (fixtures) {
+    return write_frontend_fixtures(
+        m, outdir,
+        argc > first + 2 ? argv[first + 2] : "data/frontend/cells_basic.lib");
+  }
 
   const gf2::Poly p = gf2::has_paper_polynomial(m)
                           ? gf2::paper_polynomial(m).p

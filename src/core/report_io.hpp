@@ -18,10 +18,13 @@
 //   underlying representations are canonical.
 //
 // Versioning: kReportSchemaVersion bumps whenever FlowReport (or any
-// nested struct) changes shape.  deserialize_report rejects every other
-// version with an Error — the cache treats that as a miss and re-extracts
-// (docs/CACHE_FORMAT.md, "Versioning").  There is deliberately no
-// migration path: a cache entry is a memo, not data of record.
+// nested struct) changes shape, or the report an input produces changes
+// (2: BLIF covers and Verilog expressions read as single cells, which
+// changes their equation counts and per-bit statistics).
+// deserialize_report rejects every other version with an Error — the
+// cache treats that as a miss and re-extracts (docs/CACHE_FORMAT.md,
+// "Versioning").  There is deliberately no migration path: a cache entry
+// is a memo, not data of record.
 //
 // Thread safety: both functions are pure (no shared state); call them
 // freely from scheduler workers.
@@ -35,8 +38,9 @@
 
 namespace gfre::core {
 
-/// Bump on any change to FlowReport's serialized shape.
-inline constexpr std::uint32_t kReportSchemaVersion = 1;
+/// Bump on any change to FlowReport's serialized shape or to the report
+/// an input produces.
+inline constexpr std::uint32_t kReportSchemaVersion = 2;
 
 /// Serializes a report to a self-describing binary blob.
 std::string serialize_report(const FlowReport& report);

@@ -1,39 +1,36 @@
 #include "frontend/cell_library.hpp"
 
+#include <array>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::frontend {
 
-bool eval_bool_expr(const BoolExpr& expr, const std::vector<bool>& values) {
+nl::TruthTable bool_expr_table(const BoolExpr& expr) {
+  const auto table = [](nl::CellType type,
+                        const std::vector<BoolExpr>& operands) {
+    std::array<nl::TruthTable, 3> inputs;
+    for (std::size_t i = 0; i < operands.size(); ++i)
+      inputs[i] = bool_expr_table(operands[i]);
+    return nl::cell_table(type, std::span<const nl::TruthTable>(
+                                    inputs.data(), operands.size()));
+  };
   switch (expr.kind) {
-    case BoolExpr::Kind::Const0: return false;
-    case BoolExpr::Kind::Const1: return true;
-    case BoolExpr::Kind::Ref:
-      GFRE_ASSERT(expr.pin < values.size(), "pin index out of range");
-      return values[expr.pin];
-    case BoolExpr::Kind::Not:
-      return !eval_bool_expr(expr.operands[0], values);
-    case BoolExpr::Kind::And:
-      return eval_bool_expr(expr.operands[0], values) &&
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Or:
-      return eval_bool_expr(expr.operands[0], values) ||
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Xor:
-      return eval_bool_expr(expr.operands[0], values) !=
-             eval_bool_expr(expr.operands[1], values);
-    case BoolExpr::Kind::Mux:
-      return eval_bool_expr(expr.operands[0], values)
-                 ? eval_bool_expr(expr.operands[2], values)
-                 : eval_bool_expr(expr.operands[1], values);
+    case BoolExpr::Kind::Const0: return table(nl::CellType::Const0, {});
+    case BoolExpr::Kind::Const1: return table(nl::CellType::Const1, {});
+    case BoolExpr::Kind::Ref: return nl::input_table(expr.pin);
+    case BoolExpr::Kind::Not: return table(nl::CellType::Inv, expr.operands);
+    case BoolExpr::Kind::And: return table(nl::CellType::And, expr.operands);
+    case BoolExpr::Kind::Or: return table(nl::CellType::Or, expr.operands);
+    case BoolExpr::Kind::Xor: return table(nl::CellType::Xor, expr.operands);
+    case BoolExpr::Kind::Mux: return table(nl::CellType::Mux, expr.operands);
   }
-  return false;
+  return {};
 }
 
 int LibCell::find_input(const std::string& pin) const {
@@ -340,7 +337,10 @@ class LibraryParser {
     Resolver(raw).resolve_all();
     CellLibrary lib(name.text);
     for (RawCell& rc : raw) {
-      rc.cell.builtin = opt::match_builtin_cell(rc.cell);
+      const std::size_t pins = rc.cell.inputs.size();
+      const nl::TruthTable table = bool_expr_table(rc.cell.function);
+      rc.cell.builtin = nl::match_truth_table(table, pins);
+      if (!rc.cell.builtin) rc.cell.anf = nl::mobius_transform(table, pins);
       lib.add(std::move(rc.cell));
     }
     return lib;
@@ -410,8 +410,12 @@ class LibraryParser {
     }
     if (!have_function)
       fail_at(loc, "cell '" + rc.cell.name + "' has no output pin");
-    if (rc.cell.inputs.size() > 10)
-      fail_at(loc, "cell '" + rc.cell.name + "' has too many input pins");
+    if (rc.cell.inputs.size() > nl::kMaxTableInputs)
+      fail_at(loc, "cell '" + rc.cell.name + "' has " +
+                       std::to_string(rc.cell.inputs.size()) +
+                       " input pins; at most " +
+                       std::to_string(nl::kMaxTableInputs) +
+                       " are supported");
     return rc;
   }
 

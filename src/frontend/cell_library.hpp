@@ -21,10 +21,10 @@
 // recursion detection.  Unknown attributes (area, timing, ...) are
 // skipped, so trimmed-down fragments of real .lib files load.
 //
-// After parsing, each cell is matched against the builtin CellType set by
-// truth table (opt/lib_cells.cpp): AOI22 above becomes a single Aoi22
-// gate; a cell with no builtin equivalent is expanded structurally when
-// instantiated.
+// After parsing, each cell's truth table goes through nl::match_truth_table
+// once: AOI22 above becomes a single Aoi22 gate; a cell with no builtin
+// equivalent keeps its ANF and is instantiated as nl::add_anf_gates.  A
+// cell has at most nl::kMaxTableInputs input pins.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +53,8 @@ struct BoolExpr {
   }
 };
 
-/// Evaluates `expr` with `values[i]` as the value of pin i.
-bool eval_bool_expr(const BoolExpr& expr, const std::vector<bool>& values);
+/// The truth table of `expr`, pin i being input i of the table.
+nl::TruthTable bool_expr_table(const BoolExpr& expr);
 
 /// One library cell: named input pins (declaration order defines the
 /// positional pin order) and a single-output boolean function.
@@ -64,8 +64,10 @@ struct LibCell {
   std::string output;               ///< output pin name
   BoolExpr function;                ///< over input-pin indices
   /// Builtin cell with the identical truth table, when one exists — the
-  /// single-gate fast path.  Filled by opt::match_builtin_cell at load.
+  /// single-gate fast path.  Filled by nl::match_truth_table at load.
   std::optional<nl::CellType> builtin;
+  /// The function's ANF (nl::mobius_transform) when `builtin` is empty.
+  nl::TruthTable anf{};
 
   int find_input(const std::string& pin) const;
 };

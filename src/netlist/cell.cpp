@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -16,11 +18,6 @@ constexpr std::array<CellType, 16> kAllCells = {
     CellType::Nand,   CellType::Nor,    CellType::Mux,   CellType::Aoi21,
     CellType::Oai21,  CellType::Aoi22,  CellType::Oai22, CellType::Maj3,
 };
-
-// OR-family ANF expansion is 2^n - 1 monomials; cap the arity so a
-// malformed netlist cannot blow up the rewriter.
-constexpr std::size_t kMaxOrArity = 8;
-constexpr std::size_t kMaxAndArity = 64;
 
 }  // namespace
 
@@ -276,6 +273,111 @@ anf::Anf cell_anf(CellType type, std::span<const anf::Var> in) {
       break;
   }
   throw InvalidArgument("unknown cell type");
+}
+
+// -- Truth tables -----------------------------------------------------------
+
+namespace {
+
+constexpr std::array<TruthTable, kMaxTableInputs> kInputTables = {{
+    {0xAAAAAAAAAAAAAAAAull, 0xAAAAAAAAAAAAAAAAull, 0xAAAAAAAAAAAAAAAAull,
+     0xAAAAAAAAAAAAAAAAull},
+    {0xCCCCCCCCCCCCCCCCull, 0xCCCCCCCCCCCCCCCCull, 0xCCCCCCCCCCCCCCCCull,
+     0xCCCCCCCCCCCCCCCCull},
+    {0xF0F0F0F0F0F0F0F0ull, 0xF0F0F0F0F0F0F0F0ull, 0xF0F0F0F0F0F0F0F0ull,
+     0xF0F0F0F0F0F0F0F0ull},
+    {0xFF00FF00FF00FF00ull, 0xFF00FF00FF00FF00ull, 0xFF00FF00FF00FF00ull,
+     0xFF00FF00FF00FF00ull},
+    {0xFFFF0000FFFF0000ull, 0xFFFF0000FFFF0000ull, 0xFFFF0000FFFF0000ull,
+     0xFFFF0000FFFF0000ull},
+    {0xFFFFFFFF00000000ull, 0xFFFFFFFF00000000ull, 0xFFFFFFFF00000000ull,
+     0xFFFFFFFF00000000ull},
+    {0, ~0ull, 0, ~0ull},
+    {0, 0, ~0ull, ~0ull},
+}};
+
+/// `table` with the rows at and above 2^n cleared.
+TruthTable masked(TruthTable table, std::size_t n) {
+  if (n < 6) {
+    table[0] &= (std::uint64_t{1} << (std::size_t{1} << n)) - 1;
+    table[1] = table[2] = table[3] = 0;
+  } else {
+    for (std::size_t w = std::size_t{1} << (n - 6); w < table.size(); ++w)
+      table[w] = 0;
+  }
+  return table;
+}
+
+/// Per arity, the masked table of every builtin cell taking that many
+/// inputs, in all_cell_types() order.
+using CellTables =
+    std::array<std::vector<std::pair<CellType, TruthTable>>,
+               kMaxTableInputs + 1>;
+
+const CellTables& builtin_tables() {
+  static const CellTables tables = [] {
+    CellTables out;
+    for (std::size_t n = 0; n <= kMaxTableInputs; ++n) {
+      const std::span<const TruthTable> inputs(kInputTables.data(), n);
+      for (CellType type : kAllCells) {
+        if (arity_ok(type, n))
+          out[n].emplace_back(type, masked(cell_table(type, inputs), n));
+      }
+    }
+    return out;
+  }();
+  return tables;
+}
+
+}  // namespace
+
+const TruthTable& input_table(std::size_t i) {
+  GFRE_ASSERT(i < kMaxTableInputs, "no truth-table input " << i);
+  return kInputTables[i];
+}
+
+TruthTable cell_table(CellType type, std::span<const TruthTable> inputs) {
+  GFRE_ASSERT(arity_ok(type, inputs.size()),
+              "bad arity " << inputs.size() << " for " << cell_name(type));
+  std::array<std::uint64_t, kMaxAndArity> words{};
+  TruthTable out{};
+  for (std::size_t w = 0; w < out.size(); ++w) {
+    for (std::size_t i = 0; i < inputs.size(); ++i) words[i] = inputs[i][w];
+    out[w] = eval_cell_words(
+        type, std::span<const std::uint64_t>(words.data(), inputs.size()));
+  }
+  return out;
+}
+
+std::optional<CellType> match_truth_table(const TruthTable& table,
+                                          std::size_t n) {
+  GFRE_ASSERT(n <= kMaxTableInputs, "truth table of " << n << " inputs");
+  const TruthTable want = masked(table, n);
+  for (const auto& [type, cell] : builtin_tables()[n]) {
+    if (cell == want) return type;
+  }
+  return std::nullopt;
+}
+
+TruthTable mobius_transform(const TruthTable& table, std::size_t n) {
+  GFRE_ASSERT(n <= kMaxTableInputs, "truth table of " << n << " inputs");
+  TruthTable anf = masked(table, n);
+  // Butterfly per input: every row with input i set absorbs the row
+  // without it.  Inputs 0..5 pair bits within a word, 6 and 7 pair words.
+  for (std::size_t i = 0; i < std::min<std::size_t>(n, 6); ++i) {
+    const std::size_t shift = std::size_t{1} << i;
+    const std::uint64_t with_input = kInputTables[i][0];
+    for (std::uint64_t& word : anf) word ^= (word << shift) & with_input;
+  }
+  if (n > 6) {
+    anf[1] ^= anf[0];
+    anf[3] ^= anf[2];
+  }
+  if (n > 7) {
+    anf[2] ^= anf[0];
+    anf[3] ^= anf[1];
+  }
+  return anf;
 }
 
 }  // namespace gfre::nl

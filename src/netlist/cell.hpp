@@ -8,9 +8,16 @@
 //     what backward rewriting substitutes.
 // The ANF of fixed-function cells is derived analytically; anything new can
 // be added through Anf::from_truth_table.
+//
+// Every reader turns a function given as a table or an expression — a
+// BLIF cover, a Liberty cell, a Verilog assign — into cells through one
+// matcher: match_truth_table finds the builtin cell with that function,
+// and mobius_transform gives the ANF of one that has none.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +47,13 @@ enum class CellType {
   Maj3,    ///< majority of three
 };
 
+/// Arity cap of the AND and XOR families (and their negations).
+inline constexpr std::size_t kMaxAndArity = 64;
+
+/// Arity cap of the OR family: its ANF has 2^n - 1 monomials, so the cap
+/// keeps a malformed netlist from blowing up the rewriter.
+inline constexpr std::size_t kMaxOrArity = 8;
+
 /// All cell types, for iteration in tests.
 std::span<const CellType> all_cell_types();
 
@@ -63,5 +77,34 @@ std::uint64_t eval_cell_words(CellType type,
 /// Exact ANF of the cell over the given input variables — the polynomial
 /// backward rewriting substitutes for the cell's output variable.
 anf::Anf cell_anf(CellType type, std::span<const anf::Var> inputs);
+
+// -- Truth tables -----------------------------------------------------------
+
+/// Most inputs a truth table holds.
+inline constexpr std::size_t kMaxTableInputs = 8;
+
+/// Bit-parallel truth table of a function of n <= 8 inputs: bit r (bit
+/// r % 64 of word r / 64) is the value at input row r, where input i is
+/// bit i of r.  Rows at and above 2^n are ignored.
+using TruthTable = std::array<std::uint64_t, 4>;
+
+/// The table of input i alone (i < kMaxTableInputs).
+const TruthTable& input_table(std::size_t i);
+
+/// The table of a cell whose inputs have the given tables: 256-way
+/// bit-parallel evaluation, so an expression tree of cells over
+/// input_table() leaves evaluates to the expression's truth table.
+TruthTable cell_table(CellType type, std::span<const TruthTable> inputs);
+
+/// The builtin cell computing `table` over n inputs with the pins in the
+/// same order (pin i is input i), or nullopt when no cell of arity n has
+/// that function.
+std::optional<CellType> match_truth_table(const TruthTable& table,
+                                          std::size_t n);
+
+/// The Möbius transform of an n-input table: bit r of the result is the
+/// ANF coefficient of the monomial over the inputs set in r (bit 0 is the
+/// constant term).  Rows at and above 2^n come out zero.
+TruthTable mobius_transform(const TruthTable& table, std::size_t n);
 
 }  // namespace gfre::nl

@@ -55,8 +55,8 @@ void write_cover(std::ostream& out, const Gate& gate) {
       break;
   }
   // Generic fallback: enumerate the truth table rows evaluating to 1.
-  GFRE_ASSERT(n <= 8, "cover enumeration too wide");
-  std::array<bool, 8> in{};
+  GFRE_ASSERT(n <= kMaxTableInputs, "cover enumeration too wide");
+  std::array<bool, kMaxTableInputs> in{};
   for (std::size_t row = 0; row < (std::size_t{1} << n); ++row) {
     for (std::size_t i = 0; i < n; ++i) in[i] = (row >> i) & 1;
     if (eval_cell(gate.type, std::span<const bool>(in.data(), n))) {
@@ -91,21 +91,16 @@ void split_ws(std::string_view line, std::vector<std::string_view>& tokens) {
 }
 
 /// Builds gates for one .names node.  `inputs` are the resolved argument
-/// nets (cover columns, in order).  Shared `inv_cache` keeps one INV per
-/// inverted literal across the whole file.
+/// nets (cover columns, in order).  A cover of at most kMaxTableInputs
+/// columns becomes the gates of its truth table — one builtin cell when
+/// one has that function, its ANF otherwise; a wider cover becomes a sum
+/// of products, whose shared `inv_cache` keeps one INV per inverted
+/// literal across the whole file.
 void synthesize_node(Netlist& netlist, const NamesNode& node,
                      const std::vector<Var>& inputs,
                      const std::string& out_name,
                      std::unordered_map<Var, Var>& inv_cache) {
   const std::size_t n = inputs.size();
-
-  auto inverted = [&](Var v) -> Var {
-    const auto it = inv_cache.find(v);
-    if (it != inv_cache.end()) return it->second;
-    const Var inv = netlist.add_gate(CellType::Inv, {v});
-    inv_cache.emplace(v, inv);
-    return inv;
-  };
 
   // Parse rows into (mask, polarity) pairs.
   struct Row {
@@ -149,6 +144,41 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
                      out_name);
     return;
   }
+  const auto bad_literal = [&node](std::string_view bits) {
+    frontend::fail_at(node.loc,
+                      "bad cover literal '" + std::string(bits) + "'");
+  };
+
+  if (n <= kMaxTableInputs) {
+    // The ON-set: the OR of the rows' cubes, complemented for polarity 0.
+    TruthTable on{};
+    for (const auto& row : rows) {
+      TruthTable cube;
+      cube.fill(~0ull);
+      for (std::size_t i = 0; i < n; ++i) {
+        const char literal = row.bits[i];
+        if (literal == '-') continue;
+        if (literal != '0' && literal != '1') bad_literal(row.bits);
+        const TruthTable& in = input_table(i);
+        for (std::size_t w = 0; w < cube.size(); ++w)
+          cube[w] &= literal == '1' ? in[w] : ~in[w];
+      }
+      for (std::size_t w = 0; w < on.size(); ++w) on[w] |= cube[w];
+    }
+    if (!polarity) {
+      for (std::uint64_t& word : on) word = ~word;
+    }
+    add_truth_table_gates(netlist, on, inputs, out_name);
+    return;
+  }
+
+  auto inverted = [&](Var v) -> Var {
+    const auto it = inv_cache.find(v);
+    if (it != inv_cache.end()) return it->second;
+    const Var inv = netlist.add_gate(CellType::Inv, {v});
+    inv_cache.emplace(v, inv);
+    return inv;
+  };
 
   // Each row -> product term; OR of terms; invert if polarity is 0.
   std::vector<Var> terms;
@@ -160,8 +190,7 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
       } else if (row.bits[i] == '0') {
         literals.push_back(inverted(inputs[i]));
       } else if (row.bits[i] != '-') {
-        frontend::fail_at(node.loc,
-                          "bad cover literal '" + std::string(row.bits) + "'");
+        bad_literal(row.bits);
       }
     }
     if (literals.empty()) {

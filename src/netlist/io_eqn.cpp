@@ -6,12 +6,10 @@
 #include <span>
 #include <sstream>
 #include <string_view>
-#include <unordered_map>
 
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -61,8 +59,8 @@ void tokenize_names(std::string_view text,
 
 /// Resolves an operator name to the gate(s) it creates and registers the
 /// node: builtin mnemonics become single gates; with a library loaded,
-/// library cells resolve to their builtin equivalent or expand
-/// structurally.
+/// library cells resolve to their builtin equivalent or to the gates of
+/// their ANF.
 void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
                        const std::string& op,
                        std::span<const std::string_view> args,
@@ -104,34 +102,11 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
     single_gate(*cell->builtin);
     return;
   }
-  builder.add_node(
-      lhs, args, loc,
-      [cell](Netlist& netlist, const std::vector<Var>& vars,
-             const std::string& output) {
-        std::unordered_map<std::string, Var> by_name;
-        std::vector<std::string> actuals;
-        for (Var v : vars) {
-          std::string n = netlist.var_name(v);
-          by_name.emplace(n, v);
-          actuals.push_back(std::move(n));
-        }
-        opt::EmitGateFn emit = [&](CellType t,
-                                   std::vector<std::string> input_names,
-                                   std::string gate_output) {
-          std::vector<Var> inputs;
-          for (const std::string& n : input_names) {
-            auto it = by_name.find(n);
-            GFRE_ASSERT(it != by_name.end(),
-                        "expansion references unknown net " << n);
-            inputs.push_back(it->second);
-          }
-          Var v = netlist.add_gate(t, std::move(inputs), gate_output);
-          std::string vname = netlist.var_name(v);
-          by_name.emplace(vname, v);
-          return vname;
-        };
-        opt::expand_cell_function(*cell, actuals, output, emit);
-      });
+  builder.add_node(lhs, args, loc,
+                   [cell](Netlist& netlist, const std::vector<Var>& vars,
+                          const std::string& output) {
+                     add_anf_gates(netlist, cell->anf, vars, output);
+                   });
 }
 
 /// `line` without the leading `keyword` when it starts with it as a whole

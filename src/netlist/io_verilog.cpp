@@ -1,11 +1,14 @@
 #include "netlist/io_verilog.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 #include <cstdint>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,7 +16,6 @@
 #include "frontend/cell_library.hpp"
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
-#include "opt/passes.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -935,10 +937,79 @@ class Elaborator {
     collect_refs(rhs, args);
     builder_->add_node(
         lhs, args, a.loc,
-        [this, rhs](Netlist& netlist, const std::vector<Var>&,
+        [this, rhs](Netlist& netlist, const std::vector<Var>& vars,
                     const std::string& out) {
-          emit_expr(rhs, netlist, out);
+          emit_assign(rhs, netlist, vars, out);
         });
+  }
+
+  /// Emits an assign's expression.  One of several operators whose
+  /// function is a builtin cell over its distinct nets in first-use order
+  /// ("~(a & b)" is a NAND, "(a & b) | (a & c) | (b & c)" a MAJ3) becomes
+  /// that one cell — the matcher the BLIF and Liberty readers use; any
+  /// other expression is emitted operator by operator.  `vars` are the
+  /// nets of its Ref leaves in collect_refs order.
+  void emit_assign(const Expr& e, Netlist& netlist,
+                   const std::vector<Var>& vars, const std::string& out) {
+    const bool one_operator = std::all_of(
+        e.operands.begin(), e.operands.end(),
+        [](const Expr& op) { return op.kind == Expr::Kind::Ref; });
+    if (!one_operator) {
+      std::vector<Var> leaves;
+      std::size_t next = 0;
+      if (const auto table = expr_table(e, vars, next, leaves)) {
+        if (const auto type = match_truth_table(*table, leaves.size())) {
+          netlist.add_gate(*type, std::move(leaves), out);
+          return;
+        }
+      }
+    }
+    emit_expr(e, netlist, out);
+  }
+
+  /// The cell an operator node computes.
+  static CellType operator_cell(Expr::Kind kind) {
+    switch (kind) {
+      case Expr::Kind::Not: return CellType::Inv;
+      case Expr::Kind::And: return CellType::And;
+      case Expr::Kind::Or: return CellType::Or;
+      case Expr::Kind::Xor: return CellType::Xor;
+      case Expr::Kind::Mux: return CellType::Mux;
+      case Expr::Kind::Ref:
+      case Expr::Kind::Const:
+        break;
+    }
+    GFRE_ASSERT(false, "not an operator");
+    return CellType::Buf;
+  }
+
+  /// The truth table of `e` over `leaves`, the distinct nets among its
+  /// Ref leaves in first-use order; the leaves' nets are vars[next...].
+  /// nullopt past kMaxTableInputs distinct nets.
+  static std::optional<TruthTable> expr_table(const Expr& e,
+                                              const std::vector<Var>& vars,
+                                              std::size_t& next,
+                                              std::vector<Var>& leaves) {
+    if (e.kind == Expr::Kind::Ref) {
+      const Var v = vars[next++];
+      auto it = std::find(leaves.begin(), leaves.end(), v);
+      if (it == leaves.end()) {
+        if (leaves.size() == kMaxTableInputs) return std::nullopt;
+        it = leaves.insert(it, v);
+      }
+      return input_table(static_cast<std::size_t>(it - leaves.begin()));
+    }
+    if (e.kind == Expr::Kind::Const)
+      return cell_table(e.const_one ? CellType::Const1 : CellType::Const0, {});
+    std::array<TruthTable, 3> inputs;
+    for (std::size_t i = 0; i < e.operands.size(); ++i) {
+      const auto table = expr_table(e.operands[i], vars, next, leaves);
+      if (!table) return std::nullopt;
+      inputs[i] = *table;
+    }
+    return cell_table(operator_cell(e.kind),
+                      std::span<const TruthTable>(inputs.data(),
+                                                  e.operands.size()));
   }
 
   /// Returns `e` with every Ref replaced by its resolved flat name.
@@ -975,28 +1046,14 @@ class Elaborator {
       case Expr::Kind::Const:
         return netlist.add_gate(
             e.const_one ? CellType::Const1 : CellType::Const0, {}, name);
-      case Expr::Kind::Not:
-        return netlist.add_gate(
-            CellType::Inv, {emit_expr(e.operands[0], netlist, "")}, name);
-      case Expr::Kind::And:
-      case Expr::Kind::Or:
-      case Expr::Kind::Xor: {
-        CellType type = e.kind == Expr::Kind::And  ? CellType::And
-                        : e.kind == Expr::Kind::Or ? CellType::Or
-                                                   : CellType::Xor;
-        Var a = emit_expr(e.operands[0], netlist, "");
-        Var b = emit_expr(e.operands[1], netlist, "");
-        return netlist.add_gate(type, {a, b}, name);
-      }
-      case Expr::Kind::Mux: {
-        Var s = emit_expr(e.operands[0], netlist, "");
-        Var d0 = emit_expr(e.operands[1], netlist, "");
-        Var d1 = emit_expr(e.operands[2], netlist, "");
-        return netlist.add_gate(CellType::Mux, {s, d0, d1}, name);
+      default: {
+        std::vector<Var> inputs;
+        for (const Expr& op : e.operands)
+          inputs.push_back(emit_expr(op, netlist, ""));
+        return netlist.add_gate(operator_cell(e.kind), std::move(inputs),
+                                name);
       }
     }
-    GFRE_ASSERT(false, "unreachable expression kind");
-    return 0;
   }
 
   void elaborate_instance(const Instance& inst, Scope& scope) {
@@ -1178,32 +1235,9 @@ class Elaborator {
                    const std::string& out) {
           if (cell_ptr->builtin) {
             netlist.add_gate(*cell_ptr->builtin, vars, out);
-            return;
+          } else {
+            add_anf_gates(netlist, cell_ptr->anf, vars, out);
           }
-          // No builtin equivalent: expand the cell function structurally.
-          std::unordered_map<std::string, Var> by_name;
-          std::vector<std::string> actual_names;
-          for (std::size_t i = 0; i < vars.size(); ++i) {
-            std::string n = netlist.var_name(vars[i]);
-            by_name.emplace(n, vars[i]);
-            actual_names.push_back(std::move(n));
-          }
-          opt::EmitGateFn emit = [&](CellType type,
-                                     std::vector<std::string> input_names,
-                                     std::string output) {
-            std::vector<Var> inputs;
-            for (const std::string& n : input_names) {
-              auto it = by_name.find(n);
-              GFRE_ASSERT(it != by_name.end(),
-                          "expansion references unknown net " << n);
-              inputs.push_back(it->second);
-            }
-            Var v = netlist.add_gate(type, std::move(inputs), output);
-            std::string vname = netlist.var_name(v);
-            by_name.emplace(vname, v);
-            return vname;
-          };
-          opt::expand_cell_function(*cell_ptr, actual_names, out, emit);
         });
   }
 

@@ -309,4 +309,57 @@ void Netlist::validate() const {
   (void)topological_order();
 }
 
+Var add_anf_gates(Netlist& netlist, const TruthTable& anf,
+                  std::span<const Var> inputs, const std::string& output) {
+  const std::size_t n = inputs.size();
+  GFRE_ASSERT(n <= kMaxTableInputs, "ANF over " << n << " inputs");
+  std::vector<Var> terms;
+  for (std::size_t row = 1; row < (std::size_t{1} << n); ++row) {
+    if (((anf[row / 64] >> (row % 64)) & 1) == 0) continue;
+    std::vector<Var> literals;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((row >> i) & 1) literals.push_back(inputs[i]);
+    }
+    terms.push_back(literals.size() == 1
+                        ? literals[0]
+                        : netlist.add_gate(CellType::And, std::move(literals)));
+  }
+  while (terms.size() > kMaxAndArity) {
+    std::vector<Var> chunks;
+    for (std::size_t i = 0; i < terms.size(); i += kMaxAndArity) {
+      std::vector<Var> chunk(
+          terms.begin() + i,
+          terms.begin() + std::min(terms.size(), i + kMaxAndArity));
+      chunks.push_back(chunk.size() == 1
+                           ? chunk[0]
+                           : netlist.add_gate(CellType::Xor, std::move(chunk)));
+    }
+    terms = std::move(chunks);
+  }
+  const bool one = anf[0] & 1;
+  switch (terms.size()) {
+    case 0:
+      return netlist.add_gate(one ? CellType::Const1 : CellType::Const0, {},
+                              output);
+    case 1:
+      return netlist.add_gate(one ? CellType::Inv : CellType::Buf, terms,
+                              output);
+    default:
+      return netlist.add_gate(one ? CellType::Xnor : CellType::Xor,
+                              std::move(terms), output);
+  }
+}
+
+Var add_truth_table_gates(Netlist& netlist, const TruthTable& table,
+                          std::span<const Var> inputs,
+                          const std::string& output) {
+  if (const auto type = match_truth_table(table, inputs.size())) {
+    return netlist.add_gate(*type, std::vector<Var>(inputs.begin(),
+                                                    inputs.end()),
+                            output);
+  }
+  return add_anf_gates(netlist, mobius_transform(table, inputs.size()),
+                       inputs, output);
+}
+
 }  // namespace gfre::nl

@@ -14,6 +14,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -172,5 +173,21 @@ class Netlist {
   std::vector<Var> outputs_;
   mutable ConeIndexCache cone_cache_;
 };
+
+/// Adds gates computing the function whose ANF (mobius_transform) is
+/// `anf` over `inputs`, at most kMaxTableInputs of them: an AND per
+/// monomial of degree two or more, then one XOR over the monomials —
+/// XNOR when the constant term is 1, with XORs of at most kMaxAndArity
+/// monomials below it when there are more.  The root gate drives
+/// `output` (empty = auto-named); returns its net.
+Var add_anf_gates(Netlist& netlist, const TruthTable& anf,
+                  std::span<const Var> inputs, const std::string& output);
+
+/// Adds the gates of the function with truth table `table` over `inputs`:
+/// one builtin cell when match_truth_table finds one, add_anf_gates
+/// otherwise.  Returns the net driving `output`.
+Var add_truth_table_gates(Netlist& netlist, const TruthTable& table,
+                          std::span<const Var> inputs,
+                          const std::string& output);
 
 }  // namespace gfre::nl

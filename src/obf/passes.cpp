@@ -3,10 +3,12 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obf/internal.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 #include "util/prng.hpp"
 
 namespace gfre::obf {
@@ -78,12 +80,9 @@ std::vector<PassSpec> parse_pass_stack(const std::string& text,
     const std::size_t colon = item.find(':');
     if (colon != std::string::npos) {
       name = item.substr(0, colon);
-      const std::string digits = item.substr(colon + 1);
-      if (digits.empty()) throw InvalidArgument("bad pass spec '" + item + "'");
-      for (char c : digits)
-        if (!std::isdigit(static_cast<unsigned char>(c)))
-          throw InvalidArgument("bad pass strength in '" + item + "'");
-      strength = static_cast<unsigned>(std::stoul(digits));
+      strength = static_cast<unsigned>(parse_uint(
+          "pass strength in '" + item + "'", item.substr(colon + 1), 0,
+          std::numeric_limits<unsigned>::max()));
     }
     const std::optional<PassKind> kind = pass_from_name(name);
     if (!kind) throw InvalidArgument("unknown obfuscation pass '" + name + "'");

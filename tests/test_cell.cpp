@@ -1,13 +1,16 @@
 // Cell library consistency: for every cell, the three models — Boolean
 // evaluator, 64-way word evaluator, and ANF — must agree on every input
 // combination (this is the "correct by inspection" claim behind Eq. (1)
-// and Theorem 1, checked exhaustively).
+// and Theorem 1, checked exhaustively).  The truth-table matcher every
+// reader shares is checked against the same models.
 #include <gtest/gtest.h>
 
 #include <array>
 
 #include "anf/anf.hpp"
 #include "netlist/cell.hpp"
+#include "netlist/netlist.hpp"
+#include "sim/simulator.hpp"
 #include "util/error.hpp"
 
 namespace gfre::nl {
@@ -137,6 +140,165 @@ TEST(Cell, WordEvalMixedLanes) {
   EXPECT_EQ(eval_cell_words(CellType::And, in), 0x1ull);
   EXPECT_EQ(eval_cell_words(CellType::Xor, in), 0x6ull);
   EXPECT_EQ(eval_cell_words(CellType::Or, in), 0x7ull);
+}
+
+// ---------------------------------------------------------------------------
+// Truth tables: the matcher behind BLIF covers, Liberty cells and Verilog
+// assigns
+
+bool table_bit(const TruthTable& table, std::size_t row) {
+  return (table[row / 64] >> (row % 64)) & 1;
+}
+
+/// The ANF a Möbius-transformed table encodes, over variables 0..n-1.
+anf::Anf anf_of(const TruthTable& coefficients, std::size_t n) {
+  std::vector<anf::Monomial> monomials;
+  for (std::size_t row = 0; row < (std::size_t{1} << n); ++row) {
+    if (!table_bit(coefficients, row)) continue;
+    std::vector<anf::Var> vars;
+    for (std::size_t i = 0; i < n; ++i) {
+      if ((row >> i) & 1) vars.push_back(static_cast<anf::Var>(i));
+    }
+    monomials.push_back(anf::Monomial::from_vars(std::move(vars)));
+  }
+  return anf::Anf::from_monomials(std::move(monomials));
+}
+
+/// The truth table a one-output netlist computes, by simulating every row.
+TruthTable simulated_table(const Netlist& netlist) {
+  const sim::Simulator simulator(netlist);
+  const std::size_t n = netlist.inputs().size();
+  TruthTable table{};
+  std::vector<bool> in(n);
+  for (std::size_t row = 0; row < (std::size_t{1} << n); ++row) {
+    for (std::size_t i = 0; i < n; ++i) in[i] = (row >> i) & 1;
+    if (simulator.run_single(in)[0]) table[row / 64] |= 1ull << (row % 64);
+  }
+  return table;
+}
+
+TEST(TruthTable, EveryCellAtEveryArityMatchesItself) {
+  for (CellType type : all_cell_types()) {
+    for (std::size_t n = 0; n <= kMaxTableInputs; ++n) {
+      if (!arity_ok(type, n)) continue;
+      const std::string label = cell_name(type) + "/" + std::to_string(n);
+      std::vector<TruthTable> inputs;
+      for (std::size_t i = 0; i < n; ++i) inputs.push_back(input_table(i));
+      const TruthTable table = cell_table(type, inputs);
+      std::array<bool, kMaxTableInputs> in{};
+      for (std::size_t row = 0; row < (std::size_t{1} << n); ++row) {
+        for (std::size_t i = 0; i < n; ++i) in[i] = (row >> i) & 1;
+        ASSERT_EQ(table_bit(table, row),
+                  eval_cell(type, std::span<const bool>(in.data(), n)))
+            << label << " row " << row;
+      }
+      const auto match = match_truth_table(table, n);
+      ASSERT_TRUE(match.has_value()) << label;
+      EXPECT_EQ(*match, type) << label;
+
+      std::vector<anf::Var> vars(n);
+      for (std::size_t i = 0; i < n; ++i) vars[i] = static_cast<anf::Var>(i);
+      EXPECT_EQ(anf_of(mobius_transform(table, n), n), cell_anf(type, vars))
+          << label;
+    }
+  }
+}
+
+TEST(TruthTable, RowsPastTheArityAreIgnored) {
+  // AND2 padded with garbage above row 3 is still AND2.
+  TruthTable table = cell_table(
+      CellType::And, std::array<TruthTable, 2>{input_table(0), input_table(1)});
+  table[0] |= 0xF0;
+  table[3] = ~0ull;
+  EXPECT_EQ(match_truth_table(table, 2), CellType::And);
+  EXPECT_EQ(mobius_transform(table, 2), (TruthTable{0x8, 0, 0, 0}));
+}
+
+TEST(TruthTable, MuxWithTheSelectLastFallsBackToItsAnf) {
+  // The hand-written BLIF cover k = a&!c | b&c: a mux whose select is the
+  // last pin, which no builtin has.  Its ANF is a + ac + bc.
+  const TruthTable& a = input_table(0);
+  const TruthTable& b = input_table(1);
+  const TruthTable& c = input_table(2);
+  TruthTable k{};
+  for (std::size_t w = 0; w < k.size(); ++w)
+    k[w] = (a[w] & ~c[w]) | (b[w] & c[w]);
+  EXPECT_FALSE(match_truth_table(k, 3).has_value());
+  const TruthTable anf = mobius_transform(k, 3);
+  EXPECT_EQ(anf, (TruthTable{(1ull << 0b001) | (1ull << 0b101) |
+                                 (1ull << 0b110),
+                             0, 0, 0}));
+
+  Netlist netlist("k");
+  std::vector<Var> in;
+  for (const char* name : {"a", "b", "c"})
+    in.push_back(netlist.add_input(name));
+  netlist.mark_output(add_truth_table_gates(netlist, k, in, "k"));
+  // XOR(a, AND(a, c), AND(b, c)): two monomial ANDs under one XOR.
+  ASSERT_EQ(netlist.num_gates(), 3u);
+  EXPECT_EQ(netlist.gates().back().type, CellType::Xor);
+  EXPECT_EQ(netlist.var_name(netlist.gates().back().output), "k");
+  EXPECT_EQ(simulated_table(netlist)[0] & 0xFF, k[0] & 0xFF);
+}
+
+TEST(TruthTable, AnfGatesUseXnorForAConstantTermAndChunkWideXors) {
+  // !(a & !b): ANF 1 + a + ab, so an XNOR over the two monomials.
+  {
+    const TruthTable& a = input_table(0);
+    const TruthTable& b = input_table(1);
+    TruthTable f{};
+    for (std::size_t w = 0; w < f.size(); ++w) f[w] = ~(a[w] & ~b[w]);
+    Netlist netlist("f");
+    std::vector<Var> in{netlist.add_input("a"), netlist.add_input("b")};
+    netlist.mark_output(add_truth_table_gates(netlist, f, in, "f"));
+    EXPECT_EQ(netlist.gates().back().type, CellType::Xnor);
+    EXPECT_EQ(simulated_table(netlist)[0] & 0xF, f[0] & 0xF);
+  }
+  // OR8 has 255 monomials: XORs of at most kMaxAndArity below the root.
+  std::vector<TruthTable> inputs;
+  for (std::size_t i = 0; i < kMaxTableInputs; ++i)
+    inputs.push_back(input_table(i));
+  const TruthTable or8 = cell_table(CellType::Or, inputs);
+  Netlist netlist("or8");
+  std::vector<Var> in;
+  for (std::size_t i = 0; i < kMaxTableInputs; ++i)
+    in.push_back(netlist.add_input("i" + std::to_string(i)));
+  netlist.mark_output(add_anf_gates(
+      netlist, mobius_transform(or8, kMaxTableInputs), in, "y"));
+  for (const Gate& gate : netlist.gates()) {
+    EXPECT_LE(gate.inputs.size(), kMaxAndArity);
+  }
+  EXPECT_EQ(netlist.gates().back().type, CellType::Xor);
+  EXPECT_EQ(netlist.gates().back().inputs.size(), 4u);  // ceil(255 / 64)
+  EXPECT_EQ(simulated_table(netlist), or8);
+  // The matcher itself would have made it one OR gate.
+  Netlist matched("or8");
+  for (std::size_t i = 0; i < kMaxTableInputs; ++i)
+    matched.add_input("i" + std::to_string(i));
+  add_truth_table_gates(matched, or8, in, "y");
+  ASSERT_EQ(matched.num_gates(), 1u);
+  EXPECT_EQ(matched.gate(0).type, CellType::Or);
+}
+
+TEST(TruthTable, ConstantAndProjectionFunctionsFallBackCleanly) {
+  // A 2-input cover that ignores its inputs, or keeps only one of them,
+  // matches no 2-input cell: its ANF is a constant or a single variable.
+  Netlist netlist("c");
+  std::vector<Var> in{netlist.add_input("a"), netlist.add_input("b")};
+  TruthTable ones;
+  ones.fill(~0ull);
+  add_truth_table_gates(netlist, ones, in, "one");
+  add_truth_table_gates(netlist, TruthTable{}, in, "zero");
+  add_truth_table_gates(netlist, input_table(1), in, "just_b");
+  const std::array<TruthTable, 1> a{input_table(0)};
+  add_truth_table_gates(netlist, cell_table(CellType::Inv, a), in, "not_a");
+  ASSERT_EQ(netlist.num_gates(), 4u);
+  EXPECT_EQ(netlist.gate(0).type, CellType::Const1);
+  EXPECT_EQ(netlist.gate(1).type, CellType::Const0);
+  EXPECT_EQ(netlist.gate(2).type, CellType::Buf);
+  EXPECT_EQ(netlist.gate(2).inputs, std::vector<Var>{in[1]});
+  EXPECT_EQ(netlist.gate(3).type, CellType::Inv);
+  EXPECT_EQ(netlist.gate(3).inputs, std::vector<Var>{in[0]});
 }
 
 }  // namespace

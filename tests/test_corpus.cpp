@@ -8,6 +8,7 @@
 
 #include "core/batch.hpp"
 #include "core/flow.hpp"
+#include "core/report_io.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
@@ -35,10 +36,22 @@ struct CorpusCase {
 
 class CorpusSweep : public ::testing::TestWithParam<CorpusCase> {};
 
+/// The report's report_io blob with the run-dependent fields (wall times,
+/// RSS) zeroed: what is left is a function of the netlist alone.
+std::string timeless_blob(core::FlowReport report) {
+  report.total_seconds = 0.0;
+  report.rss_peak_bytes = 0;
+  report.rss_after_bytes = 0;
+  report.extraction.wall_seconds = 0.0;
+  for (auto& stats : report.extraction.per_bit) stats.seconds = 0.0;
+  return core::serialize_report(report);
+}
+
 TEST_P(CorpusSweep, EveryFormatRecoversExpectedPolynomial) {
   const auto& c = GetParam();
   core::FlowOptions options;
   options.threads = 2;
+  std::string eqn_blob;
   for (const char* ext : {".eqn", ".blif", ".v"}) {
     nl::Netlist netlist("x");
     const std::string path = data_path(c.stem + ext);
@@ -53,6 +66,14 @@ TEST_P(CorpusSweep, EveryFormatRecoversExpectedPolynomial) {
     EXPECT_TRUE(report.success) << path << "\n" << report.summary();
     EXPECT_EQ(report.recovery.p, c.expected_p) << path;
     EXPECT_EQ(report.m, c.m) << path;
+    // Every dialect reads the fixture into the same gates, so the whole
+    // report — equations, per-bit statistics, ANFs — is byte-identical.
+    const std::string blob = timeless_blob(report);
+    if (eqn_blob.empty()) {
+      eqn_blob = blob;
+    } else {
+      EXPECT_EQ(blob, eqn_blob) << path << " reports differently from .eqn";
+    }
   }
 }
 

@@ -352,6 +352,81 @@ TEST(CellLibrary, ParsesTheShippedLibraryWithBuiltinMatches) {
   }
 }
 
+TEST(CellLibrary, NonBuiltinCellsKeepTheirAnfInEveryReader) {
+  // ANDN = a & !b and MUXL (the select last) match no builtin cell: they
+  // keep their ANF and instantiate as it from .eqn and from Verilog alike.
+  const auto library = std::make_shared<const frontend::CellLibrary>(
+      frontend::parse_cell_library(
+          "library (extra) {\n"
+          "  cell (ANDN) {\n"
+          "    pin (a) { direction : input; }\n"
+          "    pin (b) { direction : input; }\n"
+          "    pin (y) { direction : output; function : \"a & !b\"; }\n"
+          "  }\n"
+          "  cell (MUXL) {\n"
+          "    pin (a) { direction : input; }\n"
+          "    pin (b) { direction : input; }\n"
+          "    pin (s) { direction : input; }\n"
+          "    pin (y) { direction : output; function : \"s ? b : a\"; }\n"
+          "  }\n"
+          "}\n",
+          "extra.lib"));
+  for (const char* name : {"ANDN", "MUXL"}) {
+    ASSERT_NE(library->find(name), nullptr) << name;
+    EXPECT_FALSE(library->find(name)->builtin.has_value()) << name;
+  }
+  // a & !b = a + ab; s ? b : a = a + as + bs.
+  EXPECT_EQ(library->find("ANDN")->anf, (nl::TruthTable{0b1010, 0, 0, 0}));
+  EXPECT_EQ(library->find("MUXL")->anf,
+            (nl::TruthTable{(1ull << 0b001) | (1ull << 0b101) |
+                                (1ull << 0b110),
+                            0, 0, 0}));
+
+  frontend::FrontendOptions options;
+  options.library = library;
+  const nl::Netlist from_eqn = nl::read_eqn(
+      "input a b s;\noutput y z;\ny = ANDN(a, b);\nz = MUXL(a, b, s);\n",
+      "t.eqn", options);
+  const nl::Netlist from_verilog = nl::read_verilog(
+      "module t (a, b, s, y, z);\n"
+      "  input a, b, s;\n  output y, z;\n"
+      "  ANDN g0 (.a(a), .b(b), .y(y));\n"
+      "  MUXL g1 (z, a, b, s);\n"
+      "endmodule\n",
+      "t.v", options);
+  expect_same_structure(from_verilog, from_eqn, "ANF cells, .v vs .eqn");
+  // ANDN: AND(a, b) under XOR(a, ab); MUXL: two ANDs under one XOR.
+  EXPECT_EQ(from_eqn.num_gates(), 5u);
+  const sim::Simulator simulator(from_eqn);
+  for (unsigned row = 0; row < 8; ++row) {
+    const bool a = row & 1, b = row & 2, sel = row & 4;
+    const auto out = simulator.run_single({a, b, sel});
+    EXPECT_EQ(out[0], a && !b) << row;
+    EXPECT_EQ(out[1], sel ? b : a) << row;
+  }
+}
+
+TEST(CellLibrary, MoreThanEightPinsIsALocatedError) {
+  std::string text = "library (wide) {\n  cell (AND9) {\n";
+  std::string function;
+  for (int i = 0; i < 9; ++i) {
+    const std::string pin = "a" + std::to_string(i);
+    text += "    pin (" + pin + ") { direction : input; }\n";
+    function += (i == 0 ? "" : " & ") + pin;
+  }
+  text += "    pin (y) { direction : output; function : \"" + function +
+          "\"; }\n  }\n}\n";
+  try {
+    frontend::parse_cell_library(text, "wide.lib");
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_EQ(e.file(), "wide.lib");
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_NE(std::string(e.what()).find("9 input pins"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CellLibrary, RecursiveDefinitionIsDiagnosed) {
   const std::string text =
       "library (loop) {\n"

@@ -2,8 +2,15 @@
 // .eqn, BLIF and structural Verilog.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "core/parallel_extract.hpp"
+#include "gen/karatsuba.hpp"
 #include "gen/mastrovito.hpp"
+#include "gen/montgomery_gate.hpp"
+#include "gen/shift_add.hpp"
 #include "gf2m/field.hpp"
+#include "gf2poly/irreducible.hpp"
 #include "helpers.hpp"
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
@@ -170,6 +177,16 @@ TEST(BlifFormat, ReadsHandWrittenCovers) {
     EXPECT_EQ(out[2], !a);         // w = INV(a)
     EXPECT_EQ(out[3], (a && !c) || (b && c));  // k two-row cover
   }
+  // Each cover is one cell when a builtin has its function: t is an AND,
+  // y = !t | !c a NAND, w an INV.  k, a mux whose select is the last pin,
+  // has no builtin and becomes its ANF a + ac + bc: two ANDs under an XOR.
+  const auto histogram = netlist.cell_histogram();
+  EXPECT_EQ(histogram.at(CellType::And), 3u);
+  EXPECT_EQ(histogram.at(CellType::Nand), 1u);
+  EXPECT_EQ(histogram.at(CellType::Inv), 1u);
+  EXPECT_EQ(histogram.at(CellType::Xor), 1u);
+  EXPECT_EQ(histogram.at(CellType::Const1), 1u);
+  EXPECT_EQ(netlist.num_gates(), 7u);
 }
 
 TEST(BlifFormat, OutputPolarityZeroCover) {
@@ -179,6 +196,39 @@ TEST(BlifFormat, OutputPolarityZeroCover) {
   sim::Simulator simulator(netlist);
   EXPECT_EQ(simulator.run_single({true, true})[0], false);
   EXPECT_EQ(simulator.run_single({true, false})[0], true);
+}
+
+TEST(BlifFormat, CoverDiagnosticsKeepTheirMessageAndLine) {
+  // The same three cover faults, on a cover the truth-table path reads (2
+  // columns) and on one past it (9 columns, sum of products), are pinned
+  // to the .names line with the same message.
+  for (const std::size_t n : {std::size_t{2}, std::size_t{9}}) {
+    std::string inputs, columns;
+    for (std::size_t i = 0; i < n; ++i) {
+      inputs += " i" + std::to_string(i);
+      columns += "1";
+    }
+    const std::string head = ".model x\n.inputs" + inputs +
+                             "\n.outputs z\n.names" + inputs + " z\n";
+    std::string bad_literal = columns;
+    bad_literal[1] = 'x';
+    const std::pair<std::string, std::string> cases[] = {
+        {"1 1\n", "bad cover row '1 1'"},
+        {columns + " 1\n" + std::string(n, '0') + " 0\n",
+         "mixed cover polarities"},
+        {bad_literal + " 1\n", "bad cover literal '" + bad_literal + "'"},
+    };
+    for (const auto& [rows, message] : cases) {
+      try {
+        read_blif(head + rows + ".end\n", "c.blif");
+        ADD_FAILURE() << "parsed: " << rows;
+      } catch (const ParseError& e) {
+        EXPECT_EQ(e.line(), 4) << e.what();
+        EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 TEST(BlifFormat, ContinuationLines) {
@@ -198,8 +248,9 @@ TEST(BlifFormat, Errors) {
       read_blif(".model x\n.inputs a\n.outputs z\n.names a q z\n11 1\n.end"),
       ParseError);  // undefined q
   // Source names never bind to helper nets an earlier .names block
-  // auto-named: the inverter helper of "01 1" is called n0.  Both
-  // statement orders must diagnose the same way.
+  // auto-named: "01 1" (!a & b, no builtin) becomes its ANF b + ab, whose
+  // AND helper is called n0.  Both statement orders must diagnose the
+  // same way.
   const std::string inverter = ".names a b x\n01 1\n";
   const std::string reads_n0 = ".names n0 w\n1 1\n";
   const std::string head = ".model x\n.inputs a b\n.outputs x w\n";
@@ -296,6 +347,34 @@ TEST(VerilogFormat, TernaryAndLiterals) {
   EXPECT_EQ(simulator.run_single({true, false, false})[1], true);
 }
 
+TEST(VerilogFormat, AssignsWithABuiltinFunctionBecomeOneCell) {
+  // What write_verilog prints for NAND, XNOR3 and MAJ3 reads back as that
+  // one cell; an expression no cell computes keeps one gate per operator.
+  const std::string text = R"(
+    module cells(a, b, c, n, x, m, p);
+      input a; input b; input c;
+      output n; output x; output m; output p;
+      assign n = ~(a & b);
+      assign x = ~(a ^ b ^ c);
+      assign m = (a & b) | (a & c) | (b & c);
+      assign p = a | b ^ c & ~a;
+    endmodule
+  )";
+  const Netlist netlist = read_verilog(text);
+  const auto type_of = [&](const char* name) {
+    const Var net = *netlist.find_var(name);
+    const auto gate = std::find_if(
+        netlist.gates().begin(), netlist.gates().end(),
+        [net](const Gate& g) { return g.output == net; });
+    return gate == netlist.gates().end() ? CellType::Buf : gate->type;
+  };
+  EXPECT_EQ(type_of("n"), CellType::Nand);
+  EXPECT_EQ(type_of("x"), CellType::Xnor);
+  EXPECT_EQ(type_of("m"), CellType::Maj3);
+  EXPECT_EQ(type_of("p"), CellType::Or);
+  EXPECT_EQ(netlist.num_gates(), 3u + 4u);  // p: INV, AND, XOR, OR
+}
+
 TEST(VerilogFormat, OutOfOrderAssignsAndComments) {
   const std::string text = R"(
     // comment
@@ -327,6 +406,47 @@ TEST(VerilogFormat, Errors) {
   EXPECT_THROW(read_verilog("module m(z); output z; assign z = 2'b10;"
                             " endmodule"),
                ParseError);  // unsupported literal
+}
+
+// Every generator family, from small fields to NIST B-163 size.  Each
+// cover write_blif emits reads back as the one cell that wrote it, so a
+// BLIF round trip keeps the netlist's own gates and extraction does the
+// same work from BLIF as from .eqn.
+TEST(CrossFormat, BlifRoundTripKeepsEveryFamilysGates) {
+  for (unsigned m : {8u, 16u, 64u, 163u}) {
+    const gf2m::Field field(gf2::default_irreducible(m));
+    gen::MastrovitoOptions matrix;
+    matrix.style = gen::MastrovitoOptions::Style::Matrix;
+    gen::MontgomeryOptions raw;
+    raw.raw = true;
+    const std::pair<const char*, Netlist> families[] = {
+        {"mastrovito", gen::generate_mastrovito(field)},
+        {"mastrovito_matrix", gen::generate_mastrovito(field, matrix)},
+        {"montgomery", gen::generate_montgomery(field)},
+        {"montgomery_raw", gen::generate_montgomery(field, raw)},
+        {"karatsuba", gen::generate_karatsuba(field)},
+        {"shift_add", gen::generate_shift_add(field)},
+    };
+    for (const auto& [family, netlist] : families) {
+      const std::string label = std::string(family) + " m=" +
+                                std::to_string(m);
+      const Netlist via_eqn = read_eqn(write_eqn(netlist));
+      const Netlist via_blif = read_blif(write_blif(netlist));
+      EXPECT_EQ(via_blif.num_gates(), netlist.num_gates()) << label;
+      EXPECT_EQ(via_blif.cell_histogram(), netlist.cell_histogram()) << label;
+      const auto from_eqn = core::extract_all_outputs(via_eqn, 2);
+      const auto from_blif = core::extract_all_outputs(via_blif, 2);
+      ASSERT_EQ(from_blif.per_bit.size(), from_eqn.per_bit.size()) << label;
+      for (std::size_t bit = 0; bit < from_eqn.per_bit.size(); ++bit) {
+        EXPECT_EQ(from_blif.per_bit[bit].substitutions,
+                  from_eqn.per_bit[bit].substitutions)
+            << label << " bit " << bit;
+        EXPECT_EQ(from_blif.per_bit[bit].peak_terms,
+                  from_eqn.per_bit[bit].peak_terms)
+            << label << " bit " << bit;
+      }
+    }
+  }
 }
 
 // Cross-format: eqn -> blif -> verilog -> eqn preserves the function.

@@ -57,6 +57,22 @@ TEST(ObfPasses, NamesRoundTripAndStacksParse) {
   EXPECT_THROW(obf::parse_pass_stack("keygate:x"), InvalidArgument);
   EXPECT_THROW(obf::parse_pass_stack(""), InvalidArgument);
   EXPECT_THROW(obf::parse_pass_stack("bogus:1"), InvalidArgument);
+  // A strength past unsigned range is diagnosed, never wrapped to a no-op
+  // strength 0 or thrown as a foreign std::out_of_range; signs are not
+  // digits.
+  for (const char* stack :
+       {"keygate:4294967296", "keygate:99999999999999999999", "keygate:",
+        "keygate:+1", "keygate:-1"}) {
+    try {
+      obf::parse_pass_stack(stack);
+      ADD_FAILURE() << stack << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("pass strength"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(obf::parse_pass_stack("keygate:4294967295")[0].strength,
+            4294967295u);
 }
 
 TEST(ObfPasses, StrengthZeroIsIdentityForEveryPass) {
