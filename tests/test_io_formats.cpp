@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <memory>
 
 #include "core/parallel_extract.hpp"
+#include "frontend/cell_library.hpp"
 #include "gen/karatsuba.hpp"
 #include "gen/mastrovito.hpp"
 #include "gen/montgomery_gate.hpp"
@@ -392,20 +396,120 @@ TEST(VerilogFormat, OutOfOrderAssignsAndComments) {
   EXPECT_EQ(simulator.run_single({true})[0], true);
 }
 
+/// One Verilog input and the diagnostic it must raise: message, file,
+/// line and column, as ParseError reports them.
+struct VerilogDiagnostic {
+  const char* label;
+  std::string text;
+  std::string file;
+  bool with_library;
+  std::string message;
+  std::string at_file;  ///< file named in the diagnostic
+  int line;
+  int column;
+};
+
 TEST(VerilogFormat, Errors) {
-  EXPECT_THROW(read_verilog("module m(a); input a; assign a = a; endmodule"),
-               ParseError);
-  EXPECT_THROW(
-      read_verilog("module m(z); output z; assign z = q; endmodule"),
-      ParseError);  // undefined operand
-  EXPECT_THROW(
-      read_verilog(
-          "module m(z); output z; wire x; wire y;"
-          "assign x = ~y; assign y = ~x; assign z = x; endmodule"),
-      ParseError);  // combinational cycle
-  EXPECT_THROW(read_verilog("module m(z); output z; assign z = 2'b10;"
-                            " endmodule"),
-               ParseError);  // unsupported literal
+  namespace fs = std::filesystem;
+  // A file whose error sits inside an `include'd header: the diagnostic
+  // names the included path.
+  const fs::path dir = fs::path(::testing::TempDir()) / "verilog_diagnostics";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream header(dir / "cells_with_a_long_name.vh");
+    header << "module inv1 (x, y);\n  input x;\n  output y;\n"
+              "  assign y = ~x &;\nendmodule\n";
+  }
+  const std::string top_path = (dir / "top.v").string();
+  const std::string header_path =
+      fs::weakly_canonical(dir / "cells_with_a_long_name.vh").string();
+  const std::string long_name = "multiplier_netlist_job00001.v";
+  const std::string two_bit_port =
+      "module inner (x, y);\n"
+      "  input [1:0] x;\n"
+      "  output y;\n"
+      "  and g0 (y, x[0], x[1]);\n"
+      "endmodule\n"
+      "module top (a, z);\n"
+      "  input a;\n"
+      "  output z;\n"
+      "  inner u0 (.x(a), .y(z));\n"
+      "endmodule\n";
+  const std::string recursive =
+      "module a (x, y);\n  input x;\n  output y;\n"
+      "  b u0 (.x(x), .y(y));\nendmodule\n"
+      "module b (x, y);\n  input x;\n  output y;\n"
+      "  a u1 (.x(x), .y(y));\nendmodule\n"
+      "module top (p, q);\n  input p;\n  output q;\n"
+      "  a u2 (.x(p), .y(q));\nendmodule\n";
+  const std::string ghost =
+      "module top (a, z);\n  input a;\n  output z;\n"
+      "  ghost u0 (.x(a), .y(z));\nendmodule\n";
+  const VerilogDiagnostic cases[] = {
+      {"syntax error, long file name",
+       "module t (a, y);\n  input a;\n  output y;\n  assign y = a &;\n"
+       "endmodule\n",
+       long_name, false, "expected an operand, got ';'", long_name, 4, 17},
+      {"error inside an `include'd file",
+       "`include \"cells_with_a_long_name.vh\"\n"
+       "module top (a, z);\n  input a;\n  output z;\n"
+       "  inv1 u0 (.x(a), .y(z));\nendmodule\n",
+       top_path, false, "expected an operand, got ';'", header_path, 4, 18},
+      {"sized literal wider than one bit",
+       "module m(z); output z; assign z = 2'b10; endmodule", "t.v", false,
+       "unsupported literal '2'b10' (only 1-bit constants allowed)", "t.v",
+       1, 35},
+      {"sized literal digit out of range",
+       "module m(z); output z; assign z = 1'b2; endmodule", "t.v", false,
+       "digit '2' out of range for base", "t.v", 1, 35},
+      {"sized literal with a bad base",
+       "module m(z); output z; assign z = 1'q1; endmodule", "t.v", false,
+       "bad literal base 'q'", "t.v", 1, 35},
+      {"unknown module, no library", ghost, "t.v", false,
+       "unknown module 'ghost' (no cell library loaded)", "t.v", 4, 3},
+      {"unknown module, library loaded", ghost, "t.v", true,
+       "unknown module or cell 'ghost' (not in library 'tiny')", "t.v", 4, 3},
+      {"recursive instantiation", recursive, "t.v", false,
+       "recursive instantiation of module 'a'", "t.v", 9, 3},
+      {"port-width mismatch", two_bit_port, "t.v", false,
+       "port 'x' is 2 bits wide but connects to 1 bits", "t.v", 2, 15},
+      {"driven input", "module m(a); input a; assign a = a; endmodule",
+       "t.v", false, "input 'a' is also driven", "t.v", 1, 23},
+      {"combinational cycle",
+       "module m(z); output z; wire x; wire y;\n"
+       "assign x = ~y; assign y = ~x; assign z = x; endmodule",
+       "t.v", false, "combinational cycle through 'x'", "t.v", 2, 16},
+      {"undefined net", "module m(z); output z; assign z = q; endmodule",
+       "t.v", false, "undefined net 'q'", "t.v", 1, 24},
+      {"undriven output", "module m(a, z); input a; output z; endmodule",
+       "t.v", false, "undriven output 'z'", "t.v", 1, 33},
+  };
+  frontend::FrontendOptions with_library;
+  with_library.library = std::make_shared<const frontend::CellLibrary>(
+      frontend::parse_cell_library(
+          "library (tiny) {\n  cell (INV) {\n"
+          "    pin (a) { direction : input; }\n"
+          "    pin (y) { direction : output; function : \"!a\"; }\n"
+          "  }\n}\n",
+          "tiny.lib"));
+  for (const VerilogDiagnostic& c : cases) {
+    try {
+      read_verilog(c.text, c.file,
+                   c.with_library ? with_library
+                                  : frontend::FrontendOptions{});
+      ADD_FAILURE() << c.label << ": parsed";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.file(), c.at_file) << c.label;
+      EXPECT_EQ(e.line(), c.line) << c.label;
+      EXPECT_EQ(e.column(), c.column) << c.label;
+      EXPECT_EQ(std::string(e.what()),
+                c.at_file + ":" + std::to_string(c.line) + ":" +
+                    std::to_string(c.column) + ": " + c.message)
+          << c.label;
+    }
+  }
+  fs::remove_all(dir);
 }
 
 // Every generator family, from small fields to NIST B-163 size.  Each
