@@ -33,13 +33,13 @@ nl::TruthTable bool_expr_table(const BoolExpr& expr) {
   return {};
 }
 
-int LibCell::find_input(const std::string& pin) const {
+int LibCell::find_input(std::string_view pin) const {
   for (std::size_t i = 0; i < inputs.size(); ++i)
     if (inputs[i] == pin) return static_cast<int>(i);
   return -1;
 }
 
-const LibCell* CellLibrary::find(const std::string& cell_name) const {
+const LibCell* CellLibrary::find(std::string_view cell_name) const {
   for (const LibCell& c : cells_)
     if (c.name == cell_name) return &c;
   return nullptr;
@@ -66,12 +66,11 @@ struct NamedExpr {
   Kind kind = Kind::Const0;
   std::string name;  ///< Ref: pin name; Call: cell name
   std::vector<NamedExpr> operands;
-  Loc loc;
 };
 
 class FunctionParser {
  public:
-  FunctionParser(const std::string& text, const Loc& site)
+  FunctionParser(std::string_view text, const Loc& site)
       : lexer_(text, site.file, LexSyntax{}), site_(site) {
     // The function string lives inside an attribute on `site_`'s line; the
     // inner lexer restarts line numbering, so diagnostics are pinned to
@@ -81,7 +80,8 @@ class FunctionParser {
   NamedExpr parse() {
     NamedExpr e = ternary();
     if (lexer_.peek().kind != Token::Kind::End)
-      fail("unexpected '" + lexer_.peek().text + "' in cell function");
+      fail("unexpected '" + std::string(lexer_.peek().text) +
+           "' in cell function");
     return e;
   }
 
@@ -164,7 +164,6 @@ class FunctionParser {
     if (t.kind == Token::Kind::Ident) {
       Token id = lexer_.next();
       NamedExpr e;
-      e.loc = site_;
       if (lexer_.accept_punct('(')) {
         e.kind = NamedExpr::Kind::Call;
         e.name = id.text;
@@ -182,8 +181,8 @@ class FunctionParser {
       e.name = id.text;
       return e;
     }
-    fail("expected a pin, constant or '(' in cell function, got '" + t.text +
-         "'");
+    fail("expected a pin, constant or '(' in cell function, got '" +
+         std::string(t.text) + "'");
   }
 
   mutable Lexer lexer_;
@@ -309,12 +308,13 @@ class Resolver {
 
 class LibraryParser {
  public:
-  LibraryParser(const std::string& text, const std::string& filename)
+  LibraryParser(std::string_view text, const std::string& filename)
       : lexer_(text, filename, LexSyntax{.slash_comments = true}) {}
 
   CellLibrary parse() {
     Token kw = lexer_.expect_ident("'library'");
-    if (kw.text != "library") fail_at(kw.loc, "expected 'library ( name )'");
+    if (kw.text != "library")
+      lexer_.fail_at(kw.pos, "expected 'library ( name )'");
     lexer_.expect_punct('(');
     Token name = lexer_.expect_ident("library name");
     lexer_.expect_punct(')');
@@ -324,7 +324,7 @@ class LibraryParser {
     while (!lexer_.accept_punct('}')) {
       Token item = lexer_.expect_ident("'cell' or '}'");
       if (item.text == "cell") {
-        RawCell rc = parse_cell(item.loc);
+        RawCell rc = parse_cell(item.pos);
         if (!names.insert(rc.cell.name).second)
           fail_at(rc.loc, "cell '" + rc.cell.name + "' defined twice");
         raw.push_back(std::move(rc));
@@ -333,9 +333,9 @@ class LibraryParser {
       }
     }
     if (lexer_.peek().kind != Token::Kind::End)
-      fail_at(lexer_.peek().loc, "trailing text after library group");
+      lexer_.fail("trailing text after library group");
     Resolver(raw).resolve_all();
-    CellLibrary lib(name.text);
+    CellLibrary lib{std::string(name.text)};
     for (RawCell& rc : raw) {
       const std::size_t pins = rc.cell.inputs.size();
       const nl::TruthTable table = bool_expr_table(rc.cell.function);
@@ -347,14 +347,14 @@ class LibraryParser {
   }
 
  private:
-  RawCell parse_cell(const Loc& loc) {
+  RawCell parse_cell(const Pos& pos) {
     lexer_.expect_punct('(');
     Token name = lexer_.expect_ident("cell name");
     lexer_.expect_punct(')');
     lexer_.expect_punct('{');
     RawCell rc;
     rc.cell.name = name.text;
-    rc.loc = name.loc;
+    rc.loc = lexer_.loc(name.pos);
     bool have_function = false;
     while (!lexer_.accept_punct('}')) {
       Token item = lexer_.expect_ident("'pin' or '}'");
@@ -368,8 +368,8 @@ class LibraryParser {
       lexer_.expect_punct('{');
       bool is_output = false;
       bool have_direction = false;
-      std::optional<std::string> function;
-      Loc function_loc;
+      std::optional<std::string_view> function;
+      Pos function_pos;
       while (!lexer_.accept_punct('}')) {
         Token attr = lexer_.expect_ident("pin attribute");
         lexer_.expect_punct(':');
@@ -377,14 +377,14 @@ class LibraryParser {
           Token dir = lexer_.expect_ident("pin direction");
           if (dir.text == "output") is_output = true;
           else if (dir.text == "input") is_output = false;
-          else fail_at(dir.loc, "pin direction must be input or output");
+          else lexer_.fail_at(dir.pos, "pin direction must be input or output");
           have_direction = true;
         } else if (attr.text == "function") {
           const Token& v = lexer_.peek();
           if (v.kind != Token::Kind::String)
-            fail_at(v.loc, "function attribute must be a quoted string");
+            lexer_.fail_at(v.pos, "function attribute must be a quoted string");
           function = v.text;
-          function_loc = v.loc;
+          function_pos = v.pos;
           lexer_.next();
         } else {
           skip_attribute_value();
@@ -392,26 +392,30 @@ class LibraryParser {
         lexer_.expect_punct(';');
       }
       if (!have_direction)
-        fail_at(pin.loc, "pin '" + pin.text + "' has no direction");
+        lexer_.fail_at(pin.pos,
+                       "pin '" + std::string(pin.text) + "' has no direction");
       if (is_output) {
         if (have_function)
-          fail_at(pin.loc,
-                  "cell '" + rc.cell.name + "' has multiple output pins");
+          lexer_.fail_at(pin.pos, "cell '" + rc.cell.name +
+                                      "' has multiple output pins");
         if (!function)
-          fail_at(pin.loc, "output pin '" + pin.text + "' has no function");
+          lexer_.fail_at(pin.pos, "output pin '" + std::string(pin.text) +
+                                      "' has no function");
         rc.cell.output = pin.text;
-        rc.function = FunctionParser(*function, function_loc).parse();
+        rc.function =
+            FunctionParser(*function, lexer_.loc(function_pos)).parse();
         have_function = true;
       } else {
         if (rc.cell.find_input(pin.text) >= 0)
-          fail_at(pin.loc, "pin '" + pin.text + "' declared twice");
-        rc.cell.inputs.push_back(pin.text);
+          lexer_.fail_at(pin.pos,
+                         "pin '" + std::string(pin.text) + "' declared twice");
+        rc.cell.inputs.emplace_back(pin.text);
       }
     }
     if (!have_function)
-      fail_at(loc, "cell '" + rc.cell.name + "' has no output pin");
+      lexer_.fail_at(pos, "cell '" + rc.cell.name + "' has no output pin");
     if (rc.cell.inputs.size() > nl::kMaxTableInputs)
-      fail_at(loc, "cell '" + rc.cell.name + "' has " +
+      lexer_.fail_at(pos, "cell '" + rc.cell.name + "' has " +
                        std::to_string(rc.cell.inputs.size()) +
                        " input pins; at most " +
                        std::to_string(nl::kMaxTableInputs) +
@@ -432,34 +436,35 @@ class LibraryParser {
       do {
         const Token& t = lexer_.peek();
         if (t.kind == Token::Kind::End)
-          fail_at(name.loc, "unterminated group");
+          lexer_.fail_at(name.pos, "unterminated group");
         if (t.is_punct('(')) ++depth;
         if (t.is_punct(')')) --depth;
         lexer_.next();
       } while (depth > 0);
       if (lexer_.accept_punct(';')) return;
       if (!lexer_.peek().is_punct('{'))
-        fail_at(name.loc, "expected '{' or ';' after group header");
+        lexer_.fail_at(name.pos, "expected '{' or ';' after group header");
     }
     if (lexer_.accept_punct('{')) {
       int depth = 1;
       while (depth > 0) {
         const Token& t = lexer_.peek();
         if (t.kind == Token::Kind::End)
-          fail_at(name.loc, "unterminated group");
+          lexer_.fail_at(name.pos, "unterminated group");
         if (t.is_punct('{')) ++depth;
         if (t.is_punct('}')) --depth;
         lexer_.next();
       }
       return;
     }
-    fail_at(name.loc, "expected attribute or group after '" + name.text + "'");
+    lexer_.fail_at(name.pos, "expected attribute or group after '" +
+                                 std::string(name.text) + "'");
   }
 
   void skip_attribute_value() {
     const Token& t = lexer_.peek();
     if (t.kind == Token::Kind::End || t.is_punct(';'))
-      fail_at(t.loc, "missing attribute value");
+      lexer_.fail_at(t.pos, "missing attribute value");
     while (!lexer_.peek().is_punct(';') &&
            lexer_.peek().kind != Token::Kind::End)
       lexer_.next();

@@ -31,6 +31,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "frontend/source.hpp"
@@ -69,7 +70,7 @@ struct LibCell {
   /// The function's ANF (nl::mobius_transform) when `builtin` is empty.
   nl::TruthTable anf{};
 
-  int find_input(const std::string& pin) const;
+  int find_input(std::string_view pin) const;
 };
 
 class CellLibrary {
@@ -81,7 +82,7 @@ class CellLibrary {
   std::size_t size() const { return cells_.size(); }
 
   /// Case-sensitive lookup; nullptr when absent.
-  const LibCell* find(const std::string& cell_name) const;
+  const LibCell* find(std::string_view cell_name) const;
 
   /// Appends a cell; throws InvalidArgument on duplicate names.
   void add(LibCell cell);

@@ -8,8 +8,9 @@ namespace {
 constexpr std::uint32_t kNone = util::NameTable::kNone;
 }  // namespace
 
-GraphBuilder::GraphBuilder(std::string model_name, std::string file)
-    : model_name_(std::move(model_name)), files_{std::move(file)} {}
+GraphBuilder::GraphBuilder(std::string model_name,
+                           std::vector<std::string> files)
+    : model_name_(std::move(model_name)), files_(std::move(files)) {}
 
 GraphBuilder::Id GraphBuilder::intern(std::string_view name) {
   const auto [id, added] = names_.intern(name);
@@ -20,55 +21,61 @@ GraphBuilder::Id GraphBuilder::intern(std::string_view name) {
   return id;
 }
 
-GraphBuilder::Site GraphBuilder::site_of(const Loc& loc) {
-  std::uint32_t file = 0;
-  while (file < files_.size() && files_[file] != loc.file) ++file;
-  if (file == files_.size()) files_.push_back(loc.file);
-  return Site{file, loc.line, loc.column};
+void GraphBuilder::reserve(std::size_t names, std::size_t nodes,
+                           std::size_t args) {
+  names_.reserve(names);
+  node_of_.reserve(names);
+  is_input_.reserve(names);
+  nodes_.reserve(nodes);
+  arg_ids_.reserve(args);
 }
 
-Loc GraphBuilder::loc_of(const Site& site) const {
-  return Loc{files_[site.file], site.line, site.column};
+void GraphBuilder::fail_at(const Pos& pos, const std::string& msg) const {
+  frontend::fail_at(Loc{files_[pos.file], pos.line, pos.column}, msg);
 }
 
-void GraphBuilder::add_input(std::string_view name, const Loc& loc) {
-  const Id id = intern(name);
+void GraphBuilder::add_input(Id id, const Pos& pos) {
   if (is_input_[id])
-    fail_at(loc, "input '" + std::string(name) + "' declared twice");
+    fail_at(pos, "input '" + names_.name(id) + "' declared twice");
   if (node_of_[id] != kNone)
-    fail_at(loc, "input '" + std::string(name) + "' is also driven");
+    fail_at(pos, "input '" + names_.name(id) + "' is also driven");
   is_input_[id] = 1;
-  inputs_.emplace_back(id, site_of(loc));
+  inputs_.emplace_back(id, pos);
 }
 
-void GraphBuilder::add_output(std::string_view name, const Loc& loc) {
-  outputs_.emplace_back(intern(name), site_of(loc));
+void GraphBuilder::add_output(Id id, const Pos& pos) {
+  outputs_.emplace_back(id, pos);
 }
 
-void GraphBuilder::begin_node(std::string_view output, const Loc& loc,
-                              EmitFn emit) {
-  const Id id = intern(output);
+void GraphBuilder::begin_node(Id id, const Pos& pos, EmitFn emit) {
   if (node_of_[id] != kNone)
-    fail_at(loc, "net '" + std::string(output) + "' defined twice");
+    fail_at(pos, "net '" + names_.name(id) + "' defined twice");
   if (is_input_[id])
-    fail_at(loc, "input '" + std::string(output) + "' is also driven");
+    fail_at(pos, "input '" + names_.name(id) + "' is also driven");
   node_of_[id] = static_cast<std::uint32_t>(nodes_.size());
   const auto begin = static_cast<std::uint32_t>(arg_ids_.size());
-  nodes_.push_back(Node{id, begin, begin, site_of(loc), std::move(emit)});
+  nodes_.push_back(Node{id, begin, begin, pos, std::move(emit)});
+}
+
+void GraphBuilder::add_node(Id output, std::span<const Id> args,
+                            const Pos& pos, EmitFn emit) {
+  begin_node(output, pos, std::move(emit));
+  arg_ids_.insert(arg_ids_.end(), args.begin(), args.end());
+  nodes_.back().args_end = static_cast<std::uint32_t>(arg_ids_.size());
 }
 
 void GraphBuilder::add_node(std::string_view output,
                             std::span<const std::string_view> args,
-                            const Loc& loc, EmitFn emit) {
-  begin_node(output, loc, std::move(emit));
+                            const Pos& pos, EmitFn emit) {
+  begin_node(intern(output), pos, std::move(emit));
   for (const std::string_view arg : args) arg_ids_.push_back(intern(arg));
   nodes_.back().args_end = static_cast<std::uint32_t>(arg_ids_.size());
 }
 
 void GraphBuilder::add_node(std::string_view output,
-                            std::span<const std::string> args, const Loc& loc,
+                            std::span<const std::string> args, const Pos& pos,
                             EmitFn emit) {
-  begin_node(output, loc, std::move(emit));
+  begin_node(intern(output), pos, std::move(emit));
   for (const std::string& arg : args) arg_ids_.push_back(intern(arg));
   nodes_.back().args_end = static_cast<std::uint32_t>(arg_ids_.size());
 }
@@ -96,13 +103,13 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
         const std::uint32_t dep_idx = node_of_[arg];
         if (dep_idx == kNone) {
           if (is_input_[arg]) continue;  // inputs pre-created
-          fail_at(loc_of(node.site),
+          fail_at(node.pos,
                   "undefined net '" + names_.name(arg) + "'");
         }
         Node& dep = nodes_[dep_idx];
         if (dep.state == 2) continue;
         if (dep.state == 1)
-          fail_at(loc_of(node.site),
+          fail_at(node.pos,
                   "combinational cycle through '" + names_.name(arg) + "'");
         dep.state = 1;
         stack.push_back({dep_idx, dep.args_begin});
@@ -139,12 +146,12 @@ nl::Netlist GraphBuilder::build() {
   // declared one, regardless of instantiation order.
   for (const Node& node : nodes_) netlist.reserve_name(names_.name(node.output));
   var_of_.assign(names_.size(), 0);
-  for (const auto& [id, site] : inputs_)
+  for (const auto& [id, pos] : inputs_)
     var_of_[id] = netlist.add_input(names_.name(id));
   instantiate(netlist);
-  for (const auto& [id, site] : outputs_) {
+  for (const auto& [id, pos] : outputs_) {
     if (!is_input_[id] && node_of_[id] == kNone)
-      fail_at(loc_of(site), "undriven output '" + names_.name(id) + "'");
+      fail_at(pos, "undriven output '" + names_.name(id) + "'");
     netlist.mark_output(var_of_[id]);
   }
   netlist.validate();

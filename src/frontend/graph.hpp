@@ -6,7 +6,9 @@
 // so statements may appear in any order and every structural diagnostic
 // (undefined net, double definition, combinational cycle, driven input,
 // undriven output) is produced by one implementation with the source
-// location of the offending statement.
+// location of the offending statement.  Locations are compact Pos
+// values whose file is an index into the builder's file table; the file
+// name is looked up only when a diagnostic is thrown.
 //
 // Every source name is interned once, when it is added, into one
 // util::NameTable; nodes, inputs and outputs hold ids from then on.
@@ -45,50 +47,56 @@ using EmitFn = std::function<void(
 
 class GraphBuilder {
  public:
-  GraphBuilder(std::string model_name, std::string file);
+  using Id = util::NameTable::Id;
+
+  /// `files` are the file names a Pos indexes.
+  GraphBuilder(std::string model_name, std::vector<std::string> files);
+
+  /// The id of a net name, interned on first sight.  A caller that refers
+  /// to one net many times (the Verilog elaborator) interns it once and
+  /// passes the id.
+  Id intern(std::string_view name);
 
   /// Declares a primary input (declaration order = Var id order).
-  void add_input(std::string_view name, const Loc& loc);
+  void add_input(Id name, const Pos& pos);
+  void add_input(std::string_view name, const Pos& pos) {
+    add_input(intern(name), pos);
+  }
 
   /// Declares a primary output (order significant).
-  void add_output(std::string_view name, const Loc& loc);
+  void add_output(Id name, const Pos& pos);
+  void add_output(std::string_view name, const Pos& pos) {
+    add_output(intern(name), pos);
+  }
 
   /// Adds a combinational node driving `output` from `args`.
+  void add_node(Id output, std::span<const Id> args, const Pos& pos,
+                EmitFn emit);
   void add_node(std::string_view output, std::span<const std::string_view> args,
-                const Loc& loc, EmitFn emit);
+                const Pos& pos, EmitFn emit);
   void add_node(std::string_view output, std::span<const std::string> args,
-                const Loc& loc, EmitFn emit);
+                const Pos& pos, EmitFn emit);
+
+  /// Room for `names` net names and `nodes` nodes with `args` arguments
+  /// in all, for a caller that knows its sizes up front.
+  void reserve(std::size_t names, std::size_t nodes, std::size_t args);
 
   /// Instantiates the netlist; throws ParseError on structural problems.
   nl::Netlist build();
 
  private:
-  using Id = util::NameTable::Id;
-
-  /// A Loc with its file held as an index into files_: a crypto-size
-  /// netlist has over 100k nodes, and a Loc per node would copy the file
-  /// name into each.
-  struct Site {
-    std::uint32_t file;
-    int line;
-    int column;
-  };
-
   struct Node {
     Id output;
     std::uint32_t args_begin;  ///< [args_begin, args_end) in arg_ids_
     std::uint32_t args_end;
-    Site site;
+    Pos pos;
     EmitFn emit;
     unsigned char state = 0;  // 0 unvisited, 1 visiting, 2 done
   };
 
-  /// Interns `name`, growing the per-id vectors alongside the table.
-  Id intern(std::string_view name);
-  Site site_of(const Loc& loc);
-  Loc loc_of(const Site& site) const;
+  [[noreturn]] void fail_at(const Pos& pos, const std::string& msg) const;
   /// Checks and registers the node output; its args follow in arg_ids_.
-  void begin_node(std::string_view output, const Loc& loc, EmitFn emit);
+  void begin_node(Id output, const Pos& pos, EmitFn emit);
   /// Emits every node, each after the nodes its args name.
   void instantiate(nl::Netlist& netlist);
 
@@ -98,8 +106,8 @@ class GraphBuilder {
   std::vector<std::uint32_t> node_of_;    ///< per id: driving node or kNone
   std::vector<unsigned char> is_input_;   ///< per id: declared input
   std::vector<nl::Var> var_of_;           ///< per id: net, during build()
-  std::vector<std::pair<Id, Site>> inputs_;
-  std::vector<std::pair<Id, Site>> outputs_;
+  std::vector<std::pair<Id, Pos>> inputs_;
+  std::vector<std::pair<Id, Pos>> outputs_;
   std::vector<Node> nodes_;
   std::vector<Id> arg_ids_;
 };

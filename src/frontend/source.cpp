@@ -1,6 +1,7 @@
 #include "frontend/source.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <filesystem>
 #include <fstream>
@@ -161,20 +162,21 @@ IncludeResolver filesystem_include_resolver() {
   };
 }
 
-Lexer::Lexer(std::string text, std::string file, LexSyntax syntax,
+Lexer::Lexer(std::string_view text, std::string file, LexSyntax syntax,
              IncludeResolver resolver)
     : syntax_(syntax), resolver_(std::move(resolver)) {
-  Frame f;
-  f.text = std::move(text);
-  f.file = std::move(file);
-  f.resolved = f.file;
-  frames_.push_back(std::move(f));
+  files_.push_back(std::move(file));
+  frames_.push_back(Frame{text, 0});
   tok_ = lex_token();
 }
 
-Loc Lexer::here() const {
+void Lexer::fail_at(const Pos& pos, const std::string& msg) const {
+  frontend::fail_at(loc(pos), msg);
+}
+
+Pos Lexer::here() const {
   const Frame& f = frames_.back();
-  return Loc{f.file, f.line, f.col};
+  return Pos{f.file, f.line, f.col};
 }
 
 void Lexer::advance() {
@@ -189,48 +191,85 @@ void Lexer::advance() {
   ++f.pos;
 }
 
+template <typename Pred>
+std::string_view Lexer::take_while(Pred pred) {
+  Frame& f = top();
+  const std::size_t begin = f.pos;
+  std::size_t end = begin;
+  while (end < f.text.size() && pred(f.text[end])) ++end;
+  f.pos = end;
+  f.col += static_cast<int>(end - begin);
+  return f.text.substr(begin, end - begin);
+}
+
+namespace {
+
+constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
+constexpr bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
+char to_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+
+bool ident_start(char c) { return is_alpha(c) || c == '_'; }
+
+/// Characters that continue an identifier, by byte: the lexer's hottest
+/// test, so a table lookup.
+constexpr auto kIdentChar = [] {
+  std::array<bool, 256> table{};
+  for (int c = 0; c < 256; ++c)
+    table[static_cast<std::size_t>(c)] =
+        is_alnum(static_cast<char>(c)) || c == '_' || c == '$' || c == '.';
+  return table;
+}();
+
+}  // namespace
+
 void Lexer::skip_trivia() {
   for (;;) {
-    if (frame_eof()) {
+    Frame& f = top();
+    const std::string_view text = f.text;
+    // Whitespace, counted in locals: a store to a Frame member may alias
+    // the text, so the loop would otherwise reload every field per byte.
+    std::size_t pos = f.pos;
+    int line = f.line;
+    int col = f.col;
+    for (; pos < text.size(); ++pos) {
+      const char c = text[pos];
+      if (c == '\n') {
+        ++line;
+        col = 1;
+      } else if (c == ' ' || c == '\t' || c == '\r') {
+        ++col;
+      } else {
+        break;
+      }
+    }
+    f.pos = pos;
+    f.line = line;
+    f.col = col;
+    if (f.pos >= text.size()) {
       if (frames_.size() > 1) {
         frames_.pop_back();
         continue;
       }
       return;
     }
-    char c = cur();
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance();
+    const char c = text[f.pos];
+    const bool line_comment =
+        (syntax_.hash_comments && c == '#') ||
+        (syntax_.slash_comments && c == '/' && f.pos + 1 < text.size() &&
+         text[f.pos + 1] == '/');
+    if (line_comment) {
+      take_while([](char ch) { return ch != '\n'; });
       continue;
     }
-    if (syntax_.hash_comments && c == '#') {
-      while (!frame_eof() && cur() != '\n') advance();
+    if (syntax_.slash_comments && c == '/' && f.pos + 1 < text.size() &&
+        text[f.pos + 1] == '*') {
+      const Pos open = here();
+      const std::size_t close = text.find("*/", f.pos + 2);
+      if (close == std::string_view::npos)
+        fail_at(open, "unterminated block comment");
+      while (f.pos < close + 2) advance();
       continue;
-    }
-    if (syntax_.slash_comments && c == '/' && top().pos + 1 < top().text.size()) {
-      char n = top().text[top().pos + 1];
-      if (n == '/') {
-        while (!frame_eof() && cur() != '\n') advance();
-        continue;
-      }
-      if (n == '*') {
-        Loc open = here();
-        advance();
-        advance();
-        bool closed = false;
-        while (!frame_eof()) {
-          if (cur() == '*' && top().pos + 1 < top().text.size() &&
-              top().text[top().pos + 1] == '/') {
-            advance();
-            advance();
-            closed = true;
-            break;
-          }
-          advance();
-        }
-        if (!closed) fail_at(open, "unterminated block comment");
-        continue;
-      }
     }
     if (syntax_.directives && c == '`') {
       handle_directive();
@@ -241,22 +280,20 @@ void Lexer::skip_trivia() {
 }
 
 void Lexer::handle_directive() {
-  Loc site = here();
+  const Pos site = here();
   advance();  // backtick
-  std::string name;
-  while (!frame_eof() && (std::isalnum(static_cast<unsigned char>(cur())) ||
-                          cur() == '_'))
-    name += cur(), advance();
+  const std::string_view name =
+      take_while([](char c) { return is_alnum(c) || c == '_'; });
   if (name != "include")
-    fail_at(site, "unsupported compiler directive '`" + name + "'");
+    fail_at(site, "unsupported compiler directive '`" + std::string(name) +
+                      "'");
   // Expect a quoted filename.
-  while (!frame_eof() && (cur() == ' ' || cur() == '\t')) advance();
+  take_while([](char c) { return c == ' ' || c == '\t'; });
   if (frame_eof() || cur() != '"')
     fail_at(site, "`include expects a quoted filename");
   advance();
-  std::string target;
-  while (!frame_eof() && cur() != '"' && cur() != '\n')
-    target += cur(), advance();
+  const std::string target(
+      take_while([](char c) { return c != '"' && c != '\n'; }));
   if (frame_eof() || cur() != '"')
     fail_at(site, "unterminated `include filename");
   advance();
@@ -265,64 +302,50 @@ void Lexer::handle_directive() {
   if (frames_.size() >= 16)
     fail_at(site, "`include nesting too deep (limit 16)");
   std::string resolved;
-  auto text = resolver_(target, site, &resolved);
+  auto text = resolver_(target, loc(site), &resolved);
   if (!text)
     fail_at(site, "cannot open `include file \"" + target + "\"");
   for (const Frame& f : frames_)
-    if (f.resolved == resolved)
+    if (files_[f.file] == resolved)
       fail_at(site, "`include cycle through \"" + target + "\"");
-  Frame f;
-  f.text = std::move(*text);
-  f.file = resolved;
-  f.resolved = std::move(resolved);
-  frames_.push_back(std::move(f));
+  const auto known = std::find(files_.begin(), files_.end(), resolved);
+  const auto file = static_cast<std::uint32_t>(known - files_.begin());
+  if (known == files_.end()) files_.push_back(std::move(resolved));
+  owned_.push_back(std::move(*text));
+  frames_.push_back(Frame{owned_.back(), file});
 }
-
-namespace {
-
-bool ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '$' ||
-         c == '.';
-}
-
-}  // namespace
 
 Token Lexer::lex_token() {
   skip_trivia();
   Token t;
-  t.loc = here();
+  t.pos = here();
   if (frame_eof()) {
     t.kind = Token::Kind::End;
     t.text = "<end of input>";
     return t;
   }
-  char c = cur();
+  const char c = cur();
   if (syntax_.escaped_idents && c == '\\') {
     advance();
-    std::string name;
-    while (!frame_eof() && cur() != ' ' && cur() != '\t' && cur() != '\r' &&
-           cur() != '\n')
-      name += cur(), advance();
-    if (name.empty()) fail_at(t.loc, "empty escaped identifier");
+    t.text = take_while([](char ch) {
+      return ch != ' ' && ch != '\t' && ch != '\r' && ch != '\n';
+    });
+    if (t.text.empty()) fail_at(t.pos, "empty escaped identifier");
     t.kind = Token::Kind::Ident;
-    t.text = std::move(name);
     t.escaped = true;
     return t;
   }
   if (ident_start(c)) {
-    std::string name;
-    while (!frame_eof() && ident_char(cur())) name += cur(), advance();
     t.kind = Token::Kind::Ident;
-    t.text = std::move(name);
+    t.text = take_while([](char ch) {
+      return kIdentChar[static_cast<unsigned char>(ch)];
+    });
     return t;
   }
-  if (std::isdigit(static_cast<unsigned char>(c))) {
-    std::string digits;
-    while (!frame_eof() && std::isdigit(static_cast<unsigned char>(cur())))
-      digits += cur(), advance();
+  if (is_digit(c)) {
+    const std::size_t begin = top().pos;
+    const std::string_view digits =
+        take_while([](char ch) { return is_digit(ch); });
     std::uint64_t value = 0;
     for (char d : digits) value = value * 10 + static_cast<unsigned>(d - '0');
     t.kind = Token::Kind::Number;
@@ -332,54 +355,58 @@ Token Lexer::lex_token() {
     if (syntax_.verilog_numbers && !frame_eof() && cur() == '\'') {
       // Sized literal: <width>'<base><digits>
       advance();
-      if (frame_eof()) fail_at(t.loc, "truncated sized literal");
-      char base = static_cast<char>(
-          std::tolower(static_cast<unsigned char>(cur())));
+      if (frame_eof()) fail_at(t.pos, "truncated sized literal");
+      const char base = to_lower(cur());
       advance();
       unsigned radix = 0;
       if (base == 'b') radix = 2;
       else if (base == 'o') radix = 8;
       else if (base == 'd') radix = 10;
       else if (base == 'h') radix = 16;
-      else fail_at(t.loc, std::string("bad literal base '") + base + "'");
-      std::string body;
+      else fail_at(t.pos, std::string("bad literal base '") + base + "'");
+      // Diagnostics spell the literal with its base and digits lowercase
+      // and its '_' separators dropped.
+      std::string spelled = std::string(digits) + "'" + base;
       std::uint64_t v = 0;
-      while (!frame_eof() &&
-             (std::isalnum(static_cast<unsigned char>(cur())) || cur() == '_')) {
-        char d = static_cast<char>(
-            std::tolower(static_cast<unsigned char>(cur())));
+      while (!frame_eof() && (is_alnum(cur()) || cur() == '_')) {
+        const char d = to_lower(cur());
         advance();
         if (d == '_') continue;
         unsigned digit;
         if (d >= '0' && d <= '9') digit = static_cast<unsigned>(d - '0');
         else if (d >= 'a' && d <= 'f') digit = static_cast<unsigned>(d - 'a') + 10;
-        else fail_at(t.loc, std::string("bad digit '") + d + "' in literal");
+        else fail_at(t.pos, std::string("bad digit '") + d + "' in literal");
         if (digit >= radix)
-          fail_at(t.loc, std::string("digit '") + d + "' out of range for base");
+          fail_at(t.pos, std::string("digit '") + d + "' out of range for base");
         v = v * radix + digit;
-        body += d;
+        spelled += d;
       }
-      if (body.empty()) fail_at(t.loc, "sized literal has no digits");
+      if (spelled.size() == digits.size() + 2)
+        fail_at(t.pos, "sized literal has no digits");
       t.width = static_cast<unsigned>(value);
       if (t.width == 0 || t.width > 64)
-        fail_at(t.loc, "unsupported literal width " + digits);
+        fail_at(t.pos, "unsupported literal width " + std::string(digits));
       t.value = v;
-      t.text = digits + "'" + base + body;
+      const std::string_view raw = top().text.substr(begin, top().pos - begin);
+      if (raw == spelled) {
+        t.text = raw;
+      } else {
+        owned_.push_back(std::move(spelled));
+        t.text = owned_.back();
+      }
     }
     return t;
   }
   if (c == '"') {
     advance();
-    std::string s;
-    while (!frame_eof() && cur() != '"' && cur() != '\n') s += cur(), advance();
-    if (frame_eof() || cur() != '"') fail_at(t.loc, "unterminated string");
+    t.text = take_while([](char ch) { return ch != '"' && ch != '\n'; });
+    if (frame_eof() || cur() != '"') fail_at(t.pos, "unterminated string");
     advance();
     t.kind = Token::Kind::String;
-    t.text = std::move(s);
     return t;
   }
   t.kind = Token::Kind::Punct;
-  t.text = std::string(1, c);
+  t.text = top().text.substr(top().pos, 1);
   advance();
   return t;
 }
@@ -392,25 +419,27 @@ Token Lexer::next() {
 
 Token Lexer::expect_ident(const char* what) {
   if (tok_.kind != Token::Kind::Ident)
-    fail(std::string("expected ") + what + ", got '" + tok_.text + "'");
+    fail(std::string("expected ") + what + ", got '" + std::string(tok_.text) +
+         "'");
   return next();
 }
 
-Token Lexer::expect_punct(char c) {
+void Lexer::expect_punct(char c) {
   if (!tok_.is_punct(c))
-    fail(std::string("expected '") + c + "', got '" + tok_.text + "'");
-  return next();
+    fail(std::string("expected '") + c + "', got '" + std::string(tok_.text) +
+         "'");
+  tok_ = lex_token();
 }
 
 bool Lexer::accept_punct(char c) {
   if (!tok_.is_punct(c)) return false;
-  next();
+  tok_ = lex_token();
   return true;
 }
 
 bool Lexer::accept_ident(std::string_view s) {
   if (!tok_.is_ident(s)) return false;
-  next();
+  tok_ = lex_token();
   return true;
 }
 

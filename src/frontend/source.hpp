@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -27,7 +28,8 @@
 
 namespace gfre::frontend {
 
-/// A source position.  `column` is 1-based; 0 means line-granular.
+/// A source position with its file name, as diagnostics report it.
+/// `column` is 1-based; 0 means line-granular.
 struct Loc {
   std::string file = "<input>";
   int line = 1;
@@ -90,6 +92,16 @@ class LineScanner {
 // Lexer: tokens for Verilog / cell libraries
 // ---------------------------------------------------------------------------
 
+/// A compact source position: `file` indexes a file table (a Lexer's
+/// files(), or a GraphBuilder's), `column` is 1-based with 0 meaning
+/// line-granular.  A Loc, which holds the file name, is made from it only
+/// when a diagnostic is thrown.
+struct Pos {
+  std::uint32_t file = 0;
+  int line = 1;
+  int column = 0;
+};
+
 struct Token {
   enum class Kind {
     Ident,   ///< identifier or keyword (text holds the name)
@@ -100,11 +112,14 @@ struct Token {
   };
 
   Kind kind = Kind::End;
-  std::string text;
+  /// A view into the lexer's text (or, for a sized literal written with
+  /// '_' or capitals, its normalized spelling held by the lexer): valid
+  /// for the lexer's lifetime.
+  std::string_view text;
   std::uint64_t value = 0;  ///< Number: numeric value
   unsigned width = 0;       ///< Number: declared width (0 = unsized)
   bool escaped = false;     ///< Ident: came from a '\' escaped identifier
-  Loc loc;
+  Pos pos;
 
   bool is_punct(char c) const {
     return kind == Kind::Punct && text.size() == 1 && text[0] == c;
@@ -136,9 +151,14 @@ struct LexSyntax {
 /// Streaming tokenizer with position tracking and (optionally) `include
 /// expansion.  Include cycles and unreadable files are diagnosed with the
 /// location of the `include directive.
+///
+/// Tokens are views: the lexer does not copy `text`, which must outlive
+/// it, and keeps every `include'd file's text alive for its own lifetime,
+/// so tokens (and anything a parser builds from their views) stay valid
+/// until the lexer is destroyed.
 class Lexer {
  public:
-  Lexer(std::string text, std::string file, LexSyntax syntax,
+  Lexer(std::string_view text, std::string file, LexSyntax syntax,
         IncludeResolver resolver = nullptr);
 
   /// The current token (initially the first one).
@@ -149,17 +169,31 @@ class Lexer {
 
   // -- Convenience expect/accept helpers ---------------------------------
   Token expect_ident(const char* what);
-  Token expect_punct(char c);
+  void expect_punct(char c);
   bool accept_punct(char c);
   bool accept_ident(std::string_view s);
 
-  [[noreturn]] void fail(const std::string& msg) const { fail_at(tok_.loc, msg); }
+  /// The text of the file being read that follows the current token: a
+  /// sizing hint for parsers.
+  std::string_view rest() const {
+    return frames_.back().text.substr(frames_.back().pos);
+  }
+
+  /// The files positions index: the lexed file first, then each
+  /// `include'd file (by resolved path) in first-include order.
+  const std::vector<std::string>& files() const { return files_; }
+  Loc loc(const Pos& pos) const {
+    return Loc{files_[pos.file], pos.line, pos.column};
+  }
+  [[noreturn]] void fail_at(const Pos& pos, const std::string& msg) const;
+  [[noreturn]] void fail(const std::string& msg) const {
+    fail_at(tok_.pos, msg);
+  }
 
  private:
   struct Frame {
-    std::string text;
-    std::string file;
-    std::string resolved;  ///< canonical path (cycle detection key)
+    std::string_view text;
+    std::uint32_t file = 0;  ///< index into files_ (cycle detection key)
     std::size_t pos = 0;
     int line = 1;
     int col = 1;
@@ -169,13 +203,21 @@ class Lexer {
   bool frame_eof() const { return frames_.back().pos >= frames_.back().text.size(); }
   char cur() const { return frames_.back().text[frames_.back().pos]; }
   void advance();
+  /// The run of characters from the current one on that satisfy `pred`,
+  /// consumed; it must not span a newline.
+  template <typename Pred>
+  std::string_view take_while(Pred pred);
   void skip_trivia();          ///< whitespace, comments, frame pops
   void handle_directive();     ///< backtick directives (`include ...)
   Token lex_token();           ///< one token from the current frame
-  Loc here() const;
+  Pos here() const;
 
   LexSyntax syntax_;
   IncludeResolver resolver_;
+  std::vector<std::string> files_;
+  /// `include'd texts and normalized literal spellings tokens view; a
+  /// deque never moves its elements.
+  std::deque<std::string> owned_;
   std::vector<Frame> frames_;
   Token tok_;
 };

@@ -73,7 +73,7 @@ void write_cover(std::ostream& out, const Gate& gate) {
 
 struct NamesNode {
   std::vector<std::string> rows;     // cover rows like "1-0 1"
-  frontend::Loc loc;
+  int line;                          // of the .names directive
 };
 
 /// The whitespace-separated tokens of `line`, as views into it, in
@@ -97,10 +97,11 @@ void split_ws(std::string_view line, std::vector<std::string_view>& tokens) {
 /// of products, whose shared `inv_cache` keeps one INV per inverted
 /// literal across the whole file.
 void synthesize_node(Netlist& netlist, const NamesNode& node,
-                     const std::vector<Var>& inputs,
+                     const std::string& file, const std::vector<Var>& inputs,
                      const std::string& out_name,
                      std::unordered_map<Var, Var>& inv_cache) {
   const std::size_t n = inputs.size();
+  const frontend::Loc loc{file, node.line, 0};
 
   // Parse rows into (mask, polarity) pairs.
   struct Row {
@@ -113,14 +114,14 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
     split_ws(text, tokens);
     if (n == 0) {
       if (tokens.size() != 1 || (tokens[0] != "0" && tokens[0] != "1")) {
-        frontend::fail_at(node.loc, "bad constant cover row");
+        frontend::fail_at(loc, "bad constant cover row");
       }
       rows.push_back(Row{"", tokens[0] == "1"});
       continue;
     }
     if (tokens.size() != 2 || tokens[0].size() != n ||
         (tokens[1] != "0" && tokens[1] != "1")) {
-      frontend::fail_at(node.loc, "bad cover row '" + text + "'");
+      frontend::fail_at(loc, "bad cover row '" + text + "'");
     }
     rows.push_back(Row{tokens[0], tokens[1] == "1"});
   }
@@ -131,7 +132,7 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
     if (i == 0) {
       polarity = rows[i].value;
     } else if (rows[i].value != polarity) {
-      frontend::fail_at(node.loc, "mixed cover polarities");
+      frontend::fail_at(loc, "mixed cover polarities");
     }
   }
 
@@ -144,8 +145,8 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
                      out_name);
     return;
   }
-  const auto bad_literal = [&node](std::string_view bits) {
-    frontend::fail_at(node.loc,
+  const auto bad_literal = [&loc](std::string_view bits) {
+    frontend::fail_at(loc,
                       "bad cover literal '" + std::string(bits) + "'");
   };
 
@@ -260,14 +261,15 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
                            .block_comments = true,
                            .backslash_continuation = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(model, filename);
+  frontend::GraphBuilder builder(model, {filename});
   // Every .names block, and one INV per inverted literal shared across the
   // whole file.  The emit closures run inside builder.build() below and
   // reach both through one pointer.
   struct Cover {
+    const std::string& file;
     std::vector<NamesNode> nodes;
     std::unordered_map<Var, Var> inv_cache;
-  } cover;
+  } cover{filename, {}, {}};
   // The .names block being collected: rows attach to it until the next
   // directive.  Its signals are copied (the line views die), the output
   // last.
@@ -281,12 +283,12 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
     builder.add_node(
         signals.back(),
         std::span<const std::string>(signals.data(), signals.size() - 1),
-        cover.nodes.back().loc,
+        frontend::Pos{0, cover.nodes.back().line, 0},
         [state = &cover, index](Netlist& netlist,
                                 const std::vector<Var>& inputs,
                                 const std::string& output) {
-          synthesize_node(netlist, state->nodes[index], inputs, output,
-                          state->inv_cache);
+          synthesize_node(netlist, state->nodes[index], state->file, inputs,
+                          output, state->inv_cache);
         });
   };
 
@@ -303,16 +305,16 @@ Netlist read_blif(const std::string& text, const std::string& filename) {
     } else if (keyword == ".inputs") {
       finish_current();
       for (std::size_t i = 1; i < tokens.size(); ++i)
-        builder.add_input(tokens[i], loc);
+        builder.add_input(tokens[i], frontend::Pos{0, loc.line, 0});
     } else if (keyword == ".outputs") {
       finish_current();
       for (std::size_t i = 1; i < tokens.size(); ++i)
-        builder.add_output(tokens[i], loc);
+        builder.add_output(tokens[i], frontend::Pos{0, loc.line, 0});
     } else if (keyword == ".names") {
       finish_current();
       if (tokens.size() < 2) frontend::fail_at(loc, ".names without signals");
       signals.assign(tokens.begin() + 1, tokens.end());
-      cover.nodes.push_back(NamesNode{{}, loc});
+      cover.nodes.push_back(NamesNode{{}, loc.line});
       collecting = true;
     } else if (keyword == ".end") {
       finish_current();

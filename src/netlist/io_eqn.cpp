@@ -66,6 +66,7 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
                        std::span<const std::string_view> args,
                        const frontend::Loc& loc,
                        const frontend::CellLibrary* library) {
+  const frontend::Pos pos{0, loc.line, 0};
   CellType type{};
   bool builtin = true;
   try {
@@ -74,8 +75,8 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
     builtin = false;
     if (!library) frontend::fail_at(loc, e.what());
   }
-  const auto single_gate = [&builder, lhs, args, &loc](CellType t) {
-    builder.add_node(lhs, args, loc,
+  const auto single_gate = [&builder, lhs, args, &pos](CellType t) {
+    builder.add_node(lhs, args, pos,
                      [t](Netlist& netlist, const std::vector<Var>& vars,
                          const std::string& output) {
                        netlist.add_gate(t, vars, output);
@@ -102,7 +103,7 @@ void add_equation_node(frontend::GraphBuilder& builder, std::string_view lhs,
     single_gate(*cell->builtin);
     return;
   }
-  builder.add_node(lhs, args, loc,
+  builder.add_node(lhs, args, pos,
                    [cell](Netlist& netlist, const std::vector<Var>& vars,
                           const std::string& output) {
                      add_anf_gates(netlist, cell->anf, vars, output);
@@ -128,7 +129,7 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
       frontend::LineSyntax{.hash_comments = true, .slash_comments = true,
                            .block_comments = true});
   std::string model = "top";
-  frontend::GraphBuilder builder(model, filename);
+  frontend::GraphBuilder builder(model, {filename});
   const frontend::CellLibrary* library = options.library.get();
   frontend::Loc loc{filename, 0, 0};
   // Per-line token buffers; the views point into the current line.
@@ -155,12 +156,14 @@ Netlist read_eqn(const std::string& text, const std::string& filename,
     }
     if (const auto rest = after_keyword(line, "input")) {
       tokenize_names(*rest, names);
-      for (const std::string_view n : names) builder.add_input(n, loc);
+      for (const std::string_view n : names)
+        builder.add_input(n, frontend::Pos{0, loc.line, 0});
       continue;
     }
     if (const auto rest = after_keyword(line, "output")) {
       tokenize_names(*rest, names);
-      for (const std::string_view n : names) builder.add_output(n, loc);
+      for (const std::string_view n : names)
+        builder.add_output(n, frontend::Pos{0, loc.line, 0});
       continue;
     }
     const auto eq = line.find('=');

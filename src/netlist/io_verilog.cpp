@@ -17,10 +17,10 @@
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
 #include "util/error.hpp"
+#include "util/name_table.hpp"
 
 namespace gfre::nl {
 
-using frontend::Loc;
 using frontend::Token;
 
 // ---------------------------------------------------------------------------
@@ -133,10 +133,18 @@ std::string write_verilog(const Netlist& netlist) {
 }
 
 // ---------------------------------------------------------------------------
-// Reader: module ASTs, then hierarchy elaboration onto a GraphBuilder.
+// Reader: module ASTs over the lexer's token views, then hierarchy
+// elaboration onto a GraphBuilder by interned id.
 // ---------------------------------------------------------------------------
 
 namespace {
+
+using frontend::Pos;
+using Id = util::NameTable::Id;
+constexpr std::uint32_t kNone = util::NameTable::kNone;
+
+// The AST below holds views into the lexer's text (names, literals), so
+// the lexer outlives both the parse and the elaboration.
 
 // -- Integer (parameter) expressions ---------------------------------------
 
@@ -144,51 +152,30 @@ struct IntExpr {
   enum class Kind { Num, Ref, Add, Sub, Mul, Div, Neg };
   Kind kind = Kind::Num;
   std::int64_t value = 0;   ///< Num
-  std::string name;         ///< Ref (parameter)
+  std::string_view name;    ///< Ref (parameter)
   std::vector<IntExpr> operands;
-  Loc loc;
+  Pos pos;
 };
 
-using ParamEnv = std::map<std::string, std::int64_t>;
-
-std::int64_t eval_int(const IntExpr& e, const ParamEnv& env) {
-  switch (e.kind) {
-    case IntExpr::Kind::Num:
-      return e.value;
-    case IntExpr::Kind::Ref: {
-      auto it = env.find(e.name);
-      if (it == env.end())
-        frontend::fail_at(e.loc, "undefined parameter '" + e.name + "'");
-      return it->second;
-    }
-    case IntExpr::Kind::Add:
-      return eval_int(e.operands[0], env) + eval_int(e.operands[1], env);
-    case IntExpr::Kind::Sub:
-      return eval_int(e.operands[0], env) - eval_int(e.operands[1], env);
-    case IntExpr::Kind::Mul:
-      return eval_int(e.operands[0], env) * eval_int(e.operands[1], env);
-    case IntExpr::Kind::Div: {
-      std::int64_t d = eval_int(e.operands[1], env);
-      if (d == 0) frontend::fail_at(e.loc, "division by zero in constant");
-      return eval_int(e.operands[0], env) / d;
-    }
-    case IntExpr::Kind::Neg:
-      return -eval_int(e.operands[0], env);
-  }
-  return 0;
-}
+using ParamEnv = std::map<std::string, std::int64_t, std::less<>>;
 
 // -- Net expressions -------------------------------------------------------
 
+/// One node of a module's flat expression pool; operands are indices into
+/// the same pool.
 struct Expr {
-  enum class Kind { Ref, Const, Not, And, Or, Xor, Mux };
+  enum class Kind : std::uint8_t { Ref, Const, Not, And, Or, Xor, Mux };
   Kind kind = Kind::Ref;
-  std::string name;               ///< Ref: net or vector name
-  std::optional<IntExpr> index;   ///< Ref: bit-select
-  bool escaped = false;           ///< Ref came from an escaped identifier
-  bool const_one = false;         ///< Const
-  std::vector<Expr> operands;
-  Loc loc;
+  bool const_one = false;      ///< Const
+  std::uint8_t arity = 0;      ///< operators: Not 1, And/Or/Xor 2, Mux 3
+  /// Ref: the net or vector name (module-local id) and its bit-select
+  /// (into Module::selects, or kNone).  Operators: operand nodes; Mux
+  /// operand order is (select, d0, d1): select ? d1 : d0.
+  std::array<std::uint32_t, 3> operands{kNone, kNone, kNone};
+  Pos pos;
+
+  Id name() const { return operands[0]; }
+  std::uint32_t index() const { return operands[1]; }
 };
 
 // -- Module AST ------------------------------------------------------------
@@ -202,37 +189,39 @@ struct Range {
 
 struct NetDecl {
   Dir dir = Dir::Wire;
-  std::optional<Range> range;
-  std::string name;
-  Loc loc;
+  std::uint32_t range = kNone;  ///< into Module::ranges; kNone = scalar
+  Id name = kNone;
+  Pos pos;
 };
 
 struct Param {
   bool local = false;
-  std::string name;
+  std::string_view name;
   IntExpr value;
-  Loc loc;
+  Pos pos;
 };
 
 struct Assign {
-  Expr lhs;  ///< must be Ref (optionally indexed)
-  Expr rhs;
-  Loc loc;
+  std::uint32_t lhs;  ///< a Ref (optionally indexed)
+  std::uint32_t rhs;
+  std::uint32_t leaves_begin;  ///< [leaves_begin, leaves_end) in Module::leaves
+  std::uint32_t leaves_end;
+  Pos pos;
 };
 
 struct Conn {
-  std::string formal;  ///< empty for positional
-  std::optional<Expr> actual;
-  Loc loc;
+  std::string_view formal;       ///< empty for positional
+  std::uint32_t actual = kNone;  ///< into Module::exprs; kNone = unconnected
+  Pos pos;
 };
 
 struct Instance {
-  std::string target;  ///< module / cell / primitive name
-  std::string name;    ///< instance name ("" for anonymous primitives)
-  std::vector<std::pair<std::string, IntExpr>> overrides;
+  std::string_view target;  ///< module / cell / primitive name
+  std::string_view name;    ///< instance name ("" for anonymous primitives)
+  std::vector<std::pair<std::string_view, IntExpr>> overrides;
   std::vector<Conn> conns;
   bool named = false;
-  Loc loc;
+  Pos pos;
 };
 
 struct Item {
@@ -242,22 +231,29 @@ struct Item {
 };
 
 struct Module {
-  std::string name;
-  std::vector<std::string> header_ports;
+  std::string_view name;
+  /// Every net and port name the module mentions, by module-local id.
+  util::NameViewTable names;
+  std::vector<Id> header_ports;
+  std::vector<unsigned char> is_port;  ///< per name id: in header_ports
   std::vector<NetDecl> decls;
+  std::vector<Range> ranges;           ///< vector declarations' ranges
   std::vector<Param> params;
+  std::vector<Expr> exprs;             ///< every net expression's nodes
+  std::vector<IntExpr> selects;        ///< bit-select indices of Refs
+  std::vector<std::uint32_t> leaves;   ///< assigns' Ref leaves, DFS order
   std::vector<Assign> assigns;
   std::vector<Instance> instances;
   std::vector<Item> items;
-  Loc loc;
+  Pos pos;
 };
 
-bool is_primitive(const std::string& word) {
+bool is_primitive(std::string_view word) {
   return word == "and" || word == "or" || word == "nand" || word == "nor" ||
          word == "xor" || word == "xnor" || word == "not" || word == "buf";
 }
 
-CellType primitive_cell(const std::string& word) {
+CellType primitive_cell(std::string_view word) {
   if (word == "and") return CellType::And;
   if (word == "or") return CellType::Or;
   if (word == "nand") return CellType::Nand;
@@ -268,71 +264,89 @@ CellType primitive_cell(const std::string& word) {
   return CellType::Buf;
 }
 
-bool is_keyword(const std::string& word) {
+bool is_keyword(std::string_view word) {
   return word == "module" || word == "endmodule" || word == "input" ||
          word == "output" || word == "wire" || word == "assign" ||
          word == "parameter" || word == "localparam" || word == "inout";
+}
+
+std::string quoted(std::string_view name) {
+  return "'" + std::string(name) + "'";
 }
 
 // -- Parser ----------------------------------------------------------------
 
 class VerilogParser {
  public:
-  VerilogParser(const std::string& text, const std::string& filename)
-      : lexer_(text, filename,
-               frontend::LexSyntax{.slash_comments = true,
-                                   .verilog_numbers = true,
-                                   .escaped_idents = true,
-                                   .directives = true},
-               frontend::filesystem_include_resolver()) {}
+  explicit VerilogParser(frontend::Lexer& lexer) : lexer_(lexer) {}
 
   std::vector<Module> parse() {
     std::vector<Module> modules;
     while (lexer_.peek().kind != Token::Kind::End) {
       Token kw = lexer_.expect_ident("'module'");
       if (kw.text != "module" && kw.text != "macromodule")
-        frontend::fail_at(kw.loc, "expected 'module', got '" + kw.text + "'");
-      modules.push_back(parse_module(kw.loc));
+        lexer_.fail_at(kw.pos, "expected 'module', got " + quoted(kw.text));
+      modules.push_back(parse_module(kw.pos));
     }
     return modules;
   }
 
  private:
-  Module parse_module(const Loc& loc) {
+  Module parse_module(const Pos& pos) {
     Module m;
-    m.loc = loc;
-    Token name = lexer_.expect_ident("module name");
-    m.name = name.text;
-    if (lexer_.accept_punct('#')) parse_param_ports(m);
-    if (lexer_.accept_punct('(')) parse_port_list(m);
+    module_ = &m;
+    m.pos = pos;
+    reserve(m);
+    m.name = lexer_.expect_ident("module name").text;
+    if (lexer_.accept_punct('#')) parse_param_ports();
+    if (lexer_.accept_punct('(')) parse_port_list();
     lexer_.expect_punct(';');
     for (;;) {
       const Token& t = lexer_.peek();
       if (t.kind == Token::Kind::End)
-        frontend::fail_at(m.loc, "missing 'endmodule'");
+        lexer_.fail_at(m.pos, "missing 'endmodule'");
       if (t.kind != Token::Kind::Ident)
-        frontend::fail_at(t.loc, "expected a module item, got '" + t.text +
-                                     "'");
+        lexer_.fail_at(t.pos, "expected a module item, got " + quoted(t.text));
       if (t.text == "endmodule") {
         lexer_.next();
         break;
       }
       if (t.text == "inout")
-        frontend::fail_at(t.loc, "inout ports are not supported");
+        lexer_.fail_at(t.pos, "inout ports are not supported");
       if (t.text == "input" || t.text == "output" || t.text == "wire") {
-        parse_net_decl(m);
+        parse_net_decl();
       } else if (t.text == "parameter" || t.text == "localparam") {
-        parse_param_decl(m, t.text == "localparam");
+        parse_param_decl(t.text == "localparam");
       } else if (t.text == "assign") {
-        parse_assign(m);
+        parse_assign();
       } else {
-        parse_instance(m);
+        parse_instance();
       }
     }
+    m.is_port.assign(m.names.size(), 0);
+    for (const Id port : m.header_ports) m.is_port[port] = 1;
+    module_ = nullptr;
     return m;
   }
 
-  void parse_param_ports(Module& m) {
+  Id intern(std::string_view name) { return module_->names.intern(name).id; }
+
+  /// Sizes `m`'s tables from the bytes up to the next "endmodule": a
+  /// structural netlist spends about 12 bytes per expression node and
+  /// 48 per net name.  Growing them one doubling at a time would copy the
+  /// pools several times over on a crypto-size module.
+  void reserve(Module& m) {
+    const std::string_view rest = lexer_.rest();
+    const std::size_t bytes = std::min(rest.find("endmodule"), rest.size());
+    m.exprs.reserve(bytes / 12);
+    m.leaves.reserve(bytes / 24);
+    m.names.reserve(bytes / 48);
+    m.decls.reserve(bytes / 48);
+    m.assigns.reserve(bytes / 48);
+    m.items.reserve(bytes / 48);
+  }
+
+  void parse_param_ports() {
     // #( parameter NAME = expr, ... )
     lexer_.expect_punct('(');
     if (lexer_.accept_punct(')')) return;
@@ -340,28 +354,25 @@ class VerilogParser {
       lexer_.accept_ident("parameter");
       Token name = lexer_.expect_ident("parameter name");
       lexer_.expect_punct('=');
-      Param p;
-      p.name = name.text;
-      p.loc = name.loc;
-      p.value = parse_int_expr();
-      m.params.push_back(std::move(p));
+      module_->params.push_back(
+          Param{false, name.text, parse_int_expr(), name.pos});
       if (lexer_.accept_punct(')')) break;
       lexer_.expect_punct(',');
     }
   }
 
-  void parse_port_list(Module& m) {
+  void parse_port_list() {
     if (lexer_.accept_punct(')')) return;
     // Non-ANSI (name list) or ANSI (direction-annotated declarations).
     Dir dir = Dir::Wire;
     bool ansi = false;
-    std::optional<Range> range;
+    std::uint32_t range = kNone;
     for (;;) {
       const Token& t = lexer_.peek();
       if (t.kind != Token::Kind::Ident)
-        frontend::fail_at(t.loc, "expected a port name, got '" + t.text + "'");
+        lexer_.fail_at(t.pos, "expected a port name, got " + quoted(t.text));
       if (t.text == "inout")
-        frontend::fail_at(t.loc, "inout ports are not supported");
+        lexer_.fail_at(t.pos, "inout ports are not supported");
       if (t.text == "input" || t.text == "output" || t.text == "wire") {
         ansi = true;
         dir = t.text == "input" ? Dir::Input
@@ -372,87 +383,87 @@ class VerilogParser {
         range = parse_optional_range();
       }
       Token name = lexer_.expect_ident("port name");
-      m.header_ports.push_back(name.text);
-      if (ansi) {
-        NetDecl d;
-        d.dir = dir;
-        d.range = range;
-        d.name = name.text;
-        d.loc = name.loc;
-        m.decls.push_back(std::move(d));
-      }
+      const Id id = intern(name.text);
+      module_->header_ports.push_back(id);
+      if (ansi) module_->decls.push_back(NetDecl{dir, range, id, name.pos});
       if (lexer_.accept_punct(')')) break;
       lexer_.expect_punct(',');
     }
   }
 
-  std::optional<Range> parse_optional_range() {
-    if (!lexer_.accept_punct('[')) return std::nullopt;
+  /// An optional "[msb:lsb]", as its index into Module::ranges.
+  std::uint32_t parse_optional_range() {
+    if (!lexer_.accept_punct('[')) return kNone;
     Range r;
     r.msb = parse_int_expr();
     lexer_.expect_punct(':');
     r.lsb = parse_int_expr();
     lexer_.expect_punct(']');
-    return r;
+    module_->ranges.push_back(std::move(r));
+    return static_cast<std::uint32_t>(module_->ranges.size() - 1);
   }
 
-  void parse_net_decl(Module& m) {
+  void parse_net_decl() {
     Token kw = lexer_.next();
     Dir dir = kw.text == "input" ? Dir::Input
               : kw.text == "output" ? Dir::Output
                                     : Dir::Wire;
-    std::optional<Range> range = parse_optional_range();
+    const std::uint32_t range = parse_optional_range();
     for (;;) {
       Token name = lexer_.expect_ident("net name");
-      NetDecl d;
-      d.dir = dir;
-      d.range = range;
-      d.name = name.text;
-      d.loc = name.loc;
-      m.decls.push_back(std::move(d));
+      module_->decls.push_back(NetDecl{dir, range, intern(name.text), name.pos});
       if (lexer_.accept_punct(';')) break;
       lexer_.expect_punct(',');
     }
   }
 
-  void parse_param_decl(Module& m, bool local) {
+  void parse_param_decl(bool local) {
     lexer_.next();  // parameter / localparam
     for (;;) {
       Token name = lexer_.expect_ident("parameter name");
       lexer_.expect_punct('=');
-      Param p;
-      p.local = local;
-      p.name = name.text;
-      p.loc = name.loc;
-      p.value = parse_int_expr();
-      m.params.push_back(std::move(p));
+      module_->params.push_back(
+          Param{local, name.text, parse_int_expr(), name.pos});
       if (lexer_.accept_punct(';')) break;
       lexer_.expect_punct(',');
     }
   }
 
-  void parse_assign(Module& m) {
-    Token kw = lexer_.next();  // assign
+  void parse_assign() {
+    Module& m = *module_;
     Assign a;
-    a.loc = kw.loc;
+    a.pos = lexer_.next().pos;  // assign
     a.lhs = parse_primary();
-    if (a.lhs.kind != Expr::Kind::Ref)
-      frontend::fail_at(a.lhs.loc, "assign target must be a net");
+    if (m.exprs[a.lhs].kind != Expr::Kind::Ref)
+      lexer_.fail_at(m.exprs[a.lhs].pos, "assign target must be a net");
     lexer_.expect_punct('=');
     a.rhs = parse_expr();
     lexer_.expect_punct(';');
+    a.leaves_begin = static_cast<std::uint32_t>(m.leaves.size());
+    collect_leaves(a.rhs);
+    a.leaves_end = static_cast<std::uint32_t>(m.leaves.size());
     m.items.push_back({Item::Kind::Assign, m.assigns.size()});
-    m.assigns.push_back(std::move(a));
+    m.assigns.push_back(a);
   }
 
-  void parse_instance(Module& m) {
+  /// Appends the Ref leaves under `node` to Module::leaves, operands in
+  /// order: the order the emit callback consumes resolved nets in.
+  void collect_leaves(std::uint32_t node) {
+    const Expr& e = module_->exprs[node];
+    if (e.kind == Expr::Kind::Ref) {
+      module_->leaves.push_back(node);
+      return;
+    }
+    for (std::size_t i = 0; i < e.arity; ++i) collect_leaves(e.operands[i]);
+  }
+
+  void parse_instance() {
     Token target = lexer_.expect_ident("module or cell name");
     if (is_keyword(target.text))
-      frontend::fail_at(target.loc,
-                        "unexpected keyword '" + target.text + "'");
+      lexer_.fail_at(target.pos, "unexpected keyword " + quoted(target.text));
     Instance inst;
     inst.target = target.text;
-    inst.loc = target.loc;
+    inst.pos = target.pos;
     if (lexer_.accept_punct('#')) {
       lexer_.expect_punct('(');
       for (;;) {
@@ -468,21 +479,20 @@ class VerilogParser {
     if (lexer_.peek().kind == Token::Kind::Ident) {
       inst.name = lexer_.next().text;
     } else if (!is_primitive(inst.target)) {
-      frontend::fail_at(lexer_.peek().loc, "expected an instance name");
+      lexer_.fail("expected an instance name");
     }
     lexer_.expect_punct('(');
     if (!lexer_.accept_punct(')')) {
       bool first = true;
       for (;;) {
         Conn conn;
-        conn.loc = lexer_.peek().loc;
+        conn.pos = lexer_.peek().pos;
         if (lexer_.accept_punct('.')) {
           if (!first && !inst.named)
-            frontend::fail_at(conn.loc,
-                              "cannot mix named and positional connections");
+            lexer_.fail_at(conn.pos,
+                           "cannot mix named and positional connections");
           inst.named = true;
-          Token formal = lexer_.expect_ident("port name");
-          conn.formal = formal.text;
+          conn.formal = lexer_.expect_ident("port name").text;
           lexer_.expect_punct('(');
           if (!lexer_.accept_punct(')')) {
             conn.actual = parse_expr();
@@ -490,128 +500,115 @@ class VerilogParser {
           }
         } else {
           if (inst.named)
-            frontend::fail_at(conn.loc,
-                              "cannot mix named and positional connections");
+            lexer_.fail_at(conn.pos,
+                           "cannot mix named and positional connections");
           conn.actual = parse_expr();
         }
-        inst.conns.push_back(std::move(conn));
+        inst.conns.push_back(conn);
         first = false;
         if (lexer_.accept_punct(')')) break;
         lexer_.expect_punct(',');
       }
     }
     lexer_.expect_punct(';');
-    m.items.push_back({Item::Kind::Instance, m.instances.size()});
-    m.instances.push_back(std::move(inst));
+    module_->items.push_back({Item::Kind::Instance, module_->instances.size()});
+    module_->instances.push_back(std::move(inst));
   }
 
   // -- Expressions (precedence low to high: ?: | ^ & unary primary) ------
 
-  Expr parse_expr() { return parse_ternary(); }
+  std::uint32_t add(const Expr& e) {
+    module_->exprs.push_back(e);
+    return static_cast<std::uint32_t>(module_->exprs.size() - 1);
+  }
 
-  Expr parse_ternary() {
-    Expr cond = parse_or();
-    if (!lexer_.accept_punct('?')) return cond;
-    Expr then_e = parse_ternary();
-    lexer_.expect_punct(':');
-    Expr else_e = parse_ternary();
+  std::uint32_t add_operator(Expr::Kind kind, const Pos& pos,
+                             std::initializer_list<std::uint32_t> operands) {
     Expr e;
-    e.kind = Expr::Kind::Mux;
-    e.loc = cond.loc;
-    // Mux operand order is (select, d0, d1): select ? d1 : d0.
-    e.operands = {std::move(cond), std::move(else_e), std::move(then_e)};
-    return e;
+    e.kind = kind;
+    e.pos = pos;
+    e.arity = static_cast<std::uint8_t>(operands.size());
+    std::copy(operands.begin(), operands.end(), e.operands.begin());
+    return add(e);
   }
 
-  Expr parse_or() {
-    Expr e = parse_xor();
-    while (lexer_.peek().is_punct('|')) {
-      Loc loc = lexer_.next().loc;
-      Expr rhs = parse_xor();
-      Expr joined;
-      joined.kind = Expr::Kind::Or;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
+  std::uint32_t parse_expr() { return parse_ternary(); }
+
+  std::uint32_t parse_ternary() {
+    const std::uint32_t cond = parse_or();
+    if (!lexer_.accept_punct('?')) return cond;
+    const std::uint32_t then_e = parse_ternary();
+    lexer_.expect_punct(':');
+    const std::uint32_t else_e = parse_ternary();
+    return add_operator(Expr::Kind::Mux, module_->exprs[cond].pos,
+                        {cond, else_e, then_e});
+  }
+
+  /// One left-associative binary level: `operand (op operand)*`.
+  template <typename Operand>
+  std::uint32_t parse_binary(char op, Expr::Kind kind, Operand operand) {
+    std::uint32_t e = operand();
+    while (lexer_.peek().is_punct(op)) {
+      const Pos pos = lexer_.next().pos;
+      const std::uint32_t rhs = operand();
+      e = add_operator(kind, pos, {e, rhs});
     }
     return e;
   }
 
-  Expr parse_xor() {
-    Expr e = parse_and();
-    while (lexer_.peek().is_punct('^')) {
-      Loc loc = lexer_.next().loc;
-      Expr rhs = parse_and();
-      Expr joined;
-      joined.kind = Expr::Kind::Xor;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
-    }
-    return e;
+  std::uint32_t parse_or() {
+    return parse_binary('|', Expr::Kind::Or, [this] { return parse_xor(); });
+  }
+  std::uint32_t parse_xor() {
+    return parse_binary('^', Expr::Kind::Xor, [this] { return parse_and(); });
+  }
+  std::uint32_t parse_and() {
+    return parse_binary('&', Expr::Kind::And,
+                        [this] { return parse_unary(); });
   }
 
-  Expr parse_and() {
-    Expr e = parse_unary();
-    while (lexer_.peek().is_punct('&')) {
-      Loc loc = lexer_.next().loc;
-      Expr rhs = parse_unary();
-      Expr joined;
-      joined.kind = Expr::Kind::And;
-      joined.loc = loc;
-      joined.operands = {std::move(e), std::move(rhs)};
-      e = std::move(joined);
-    }
-    return e;
-  }
-
-  Expr parse_unary() {
+  std::uint32_t parse_unary() {
     if (lexer_.peek().is_punct('~') || lexer_.peek().is_punct('!')) {
-      Loc loc = lexer_.next().loc;
-      Expr e;
-      e.kind = Expr::Kind::Not;
-      e.loc = loc;
-      e.operands = {parse_unary()};
-      return e;
+      const Pos pos = lexer_.next().pos;
+      return add_operator(Expr::Kind::Not, pos, {parse_unary()});
     }
     return parse_primary();
   }
 
-  Expr parse_primary() {
+  std::uint32_t parse_primary() {
     const Token& t = lexer_.peek();
-    Expr e;
-    e.loc = t.loc;
     if (t.is_punct('(')) {
       lexer_.next();
-      e = parse_expr();
+      const std::uint32_t e = parse_expr();
       lexer_.expect_punct(')');
       return e;
     }
+    Expr e;
+    e.pos = t.pos;
     if (t.kind == Token::Kind::Number) {
       Token num = lexer_.next();
       if (num.value > 1 || (num.width != 0 && num.width != 1))
-        frontend::fail_at(num.loc,
-                          "unsupported literal '" + num.text +
-                              "' (only 1-bit constants allowed)");
+        lexer_.fail_at(num.pos, "unsupported literal " + quoted(num.text) +
+                                    " (only 1-bit constants allowed)");
       e.kind = Expr::Kind::Const;
       e.const_one = num.value == 1;
-      return e;
+      return add(e);
     }
     if (t.kind == Token::Kind::Ident) {
       Token id = lexer_.next();
       if (is_keyword(id.text) && !id.escaped)
-        frontend::fail_at(id.loc, "unexpected keyword '" + id.text + "'");
+        lexer_.fail_at(id.pos, "unexpected keyword " + quoted(id.text));
       e.kind = Expr::Kind::Ref;
-      e.name = id.text;
-      e.escaped = id.escaped;
+      e.operands[0] = intern(id.text);
       if (!id.escaped && lexer_.peek().is_punct('[')) {
         lexer_.next();
-        e.index = parse_int_expr();
+        e.operands[1] = static_cast<std::uint32_t>(module_->selects.size());
+        module_->selects.push_back(parse_int_expr());
         lexer_.expect_punct(']');
       }
-      return e;
+      return add(e);
     }
-    frontend::fail_at(t.loc, "expected an operand, got '" + t.text + "'");
+    lexer_.fail_at(t.pos, "expected an operand, got " + quoted(t.text));
   }
 
   // -- Constant integer expressions ---------------------------------------
@@ -624,11 +621,10 @@ class VerilogParser {
       bool add = lexer_.peek().is_punct('+');
       bool sub = lexer_.peek().is_punct('-');
       if (!add && !sub) return e;
-      Loc loc = lexer_.next().loc;
-      IntExpr rhs = parse_int_mul();
       IntExpr joined;
+      joined.pos = lexer_.next().pos;
+      IntExpr rhs = parse_int_mul();
       joined.kind = add ? IntExpr::Kind::Add : IntExpr::Kind::Sub;
-      joined.loc = loc;
       joined.operands = {std::move(e), std::move(rhs)};
       e = std::move(joined);
     }
@@ -640,11 +636,10 @@ class VerilogParser {
       bool mul = lexer_.peek().is_punct('*');
       bool div = lexer_.peek().is_punct('/');
       if (!mul && !div) return e;
-      Loc loc = lexer_.next().loc;
-      IntExpr rhs = parse_int_unary();
       IntExpr joined;
+      joined.pos = lexer_.next().pos;
+      IntExpr rhs = parse_int_unary();
       joined.kind = mul ? IntExpr::Kind::Mul : IntExpr::Kind::Div;
-      joined.loc = loc;
       joined.operands = {std::move(e), std::move(rhs)};
       e = std::move(joined);
     }
@@ -653,7 +648,7 @@ class VerilogParser {
   IntExpr parse_int_unary() {
     const Token& t = lexer_.peek();
     IntExpr e;
-    e.loc = t.loc;
+    e.pos = t.pos;
     if (t.is_punct('-')) {
       lexer_.next();
       e.kind = IntExpr::Kind::Neg;
@@ -667,329 +662,84 @@ class VerilogParser {
       return e;
     }
     if (t.kind == Token::Kind::Number) {
-      Token num = lexer_.next();
       e.kind = IntExpr::Kind::Num;
-      e.value = static_cast<std::int64_t>(num.value);
+      e.value = static_cast<std::int64_t>(lexer_.next().value);
       return e;
     }
     if (t.kind == Token::Kind::Ident) {
-      Token id = lexer_.next();
       e.kind = IntExpr::Kind::Ref;
-      e.name = id.text;
+      e.name = lexer_.next().text;
       return e;
     }
-    frontend::fail_at(t.loc,
-                      "expected a constant expression, got '" + t.text + "'");
+    lexer_.fail_at(t.pos,
+                   "expected a constant expression, got " + quoted(t.text));
   }
 
-  frontend::Lexer lexer_;
+  frontend::Lexer& lexer_;
+  Module* module_ = nullptr;  ///< the module being parsed
 };
 
-// -- Elaboration -----------------------------------------------------------
+// -- Emitting an assign ----------------------------------------------------
 
-/// A module-scope symbol: a parameter value or a (possibly vector) net
-/// whose bits are bound to flat (top-level) net names.
-struct Symbol {
-  bool vector_net = false;
-  std::int64_t lsb = 0;  ///< smallest declared index (vectors)
-  std::vector<std::string> bits;  ///< flat names; bits[i] = index lsb+i
-  Dir dir = Dir::Wire;
-  Loc loc;
-};
-
-struct Scope {
-  std::string prefix;  ///< "" at top, "u0." below
-  ParamEnv params;
-  std::map<std::string, Symbol> nets;
-};
-
-class Elaborator {
- public:
-  Elaborator(const std::vector<Module>& modules,
-             const frontend::FrontendOptions& options,
-             const std::string& filename)
-      : options_(options), filename_(filename) {
-    for (const Module& m : modules) {
-      if (!modules_.emplace(m.name, &m).second)
-        frontend::fail_at(m.loc, "module '" + m.name + "' defined twice");
-    }
+/// The cell an operator node computes.
+CellType operator_cell(Expr::Kind kind) {
+  switch (kind) {
+    case Expr::Kind::Not: return CellType::Inv;
+    case Expr::Kind::And: return CellType::And;
+    case Expr::Kind::Or: return CellType::Or;
+    case Expr::Kind::Xor: return CellType::Xor;
+    case Expr::Kind::Mux: return CellType::Mux;
+    case Expr::Kind::Ref:
+    case Expr::Kind::Const:
+      break;
   }
+  GFRE_ASSERT(false, "not an operator");
+  return CellType::Buf;
+}
 
-  Netlist run() {
-    const Module& top = select_top();
-    builder_ =
-        std::make_unique<frontend::GraphBuilder>(top.name, filename_);
-    Scope scope;
-    elaborate_module(top, scope, /*overrides=*/{}, /*bindings=*/nullptr,
-                     top.loc, /*is_top=*/true);
-    return builder_->build();
-  }
+/// An assign's gates, built during GraphBuilder::build() from the nets it
+/// resolved for the expression's Ref leaves (`vars`, in collect_leaves
+/// order).  Holds the expression by pool index: 16 trivially copyable
+/// bytes, which std::function stores without allocating.
+struct AssignEmit {
+  const std::vector<Expr>* exprs;
+  std::uint32_t root;
 
- private:
-  const Module& select_top() {
-    if (!options_.top.empty()) {
-      auto it = modules_.find(options_.top);
-      if (it == modules_.end())
-        throw InvalidArgument("top module '" + options_.top + "' not found");
-      return *it->second;
-    }
-    if (modules_.size() == 1) return *modules_.begin()->second;
-    // The unique uninstantiated module is the top.
-    std::unordered_set<std::string> instantiated;
-    for (const auto& [name, m] : modules_)
-      for (const Instance& inst : m->instances)
-        instantiated.insert(inst.target);
-    const Module* top = nullptr;
-    for (const auto& [name, m] : modules_) {
-      if (instantiated.count(name)) continue;
-      if (top)
-        throw InvalidArgument(
-            "multiple top-level module candidates ('" + top->name + "', '" +
-            name + "'); select one explicitly");
-      top = m;
-    }
-    if (!top)
-      throw InvalidArgument(
-          "no top-level module (every module is instantiated)");
-    return *top;
-  }
-
-  /// Elaborates `m` into the builder.  `bindings`, when non-null, maps
-  /// formal port names to flat actual bit vectors.
-  void elaborate_module(
-      const Module& m, Scope& scope,
-      const std::vector<std::pair<std::string, std::int64_t>>& overrides,
-      const std::map<std::string, std::vector<std::string>>* bindings,
-      const Loc& site, bool is_top = false) {
-    if (path_.size() >= 64)
-      frontend::fail_at(site, "module hierarchy too deep (limit 64)");
-    path_.push_back(m.name);
-
-    // Parameters: defaults in declaration order, overridden by name.
-    for (const Param& p : m.params) {
-      std::int64_t value = eval_int(p.value, scope.params);
-      if (!p.local)
-        for (const auto& [oname, ovalue] : overrides)
-          if (oname == p.name) value = ovalue;
-      if (!scope.params.emplace(p.name, value).second)
-        frontend::fail_at(p.loc, "parameter '" + p.name + "' defined twice");
-    }
-    for (const auto& [oname, ovalue] : overrides) {
-      bool known = false;
-      for (const Param& p : m.params)
-        known = known || (!p.local && p.name == oname);
-      if (!known)
-        frontend::fail_at(site, "module '" + m.name +
-                                    "' has no parameter '" + oname + "'");
-    }
-
-    // Net declarations.
-    std::unordered_set<std::string> header(m.header_ports.begin(),
-                                           m.header_ports.end());
-    for (const NetDecl& d : m.decls) {
-      Symbol sym;
-      sym.dir = d.dir;
-      sym.loc = d.loc;
-      if (d.range) {
-        std::int64_t msb = eval_int(d.range->msb, scope.params);
-        std::int64_t lsb = eval_int(d.range->lsb, scope.params);
-        if (msb < lsb) std::swap(msb, lsb);
-        if (msb - lsb + 1 > 4096)
-          frontend::fail_at(d.loc, "vector '" + d.name + "' too wide");
-        sym.vector_net = true;
-        sym.lsb = lsb;
-        for (std::int64_t i = lsb; i <= msb; ++i)
-          sym.bits.push_back(scope.prefix + d.name + "[" +
-                             std::to_string(i) + "]");
-      } else {
-        sym.bits.push_back(scope.prefix + d.name);
-      }
-      if (d.dir != Dir::Wire && !header.count(d.name))
-        frontend::fail_at(d.loc, "port '" + d.name +
-                                     "' is not in the module port list");
-      // Port formals bound to parent actuals alias the parent nets.
-      if (bindings && d.dir != Dir::Wire) {
-        auto b = bindings->find(d.name);
-        if (b != bindings->end()) {
-          if (b->second.size() != sym.bits.size())
-            frontend::fail_at(
-                d.loc, "port '" + d.name + "' is " +
-                           std::to_string(sym.bits.size()) +
-                           " bits wide but connects to " +
-                           std::to_string(b->second.size()) + " bits");
-          sym.bits = b->second;
-        }
-      }
-      auto it = scope.nets.find(d.name);
-      if (it == scope.nets.end()) {
-        scope.nets.emplace(d.name, std::move(sym));
-      } else if (d.dir == Dir::Wire && it->second.dir != Dir::Wire) {
-        // "output z; wire z;" — the wire redeclaration of a port is legal
-        // non-ANSI style; the port symbol stays.
-      } else {
-        frontend::fail_at(d.loc, "net '" + d.name + "' declared twice");
-      }
-    }
-    for (const std::string& port : m.header_ports) {
-      auto it = scope.nets.find(port);
-      if (it == scope.nets.end() || it->second.dir == Dir::Wire)
-        frontend::fail_at(m.loc, "port '" + port +
-                                     "' has no direction declaration");
-    }
-
-    // Primary IO is registered before the items elaborate, so driving an
-    // input is diagnosed at the offending statement.  Header port order
-    // defines bit order (vector bits LSB-first).
-    if (is_top) {
-      for (const std::string& port : m.header_ports) {
-        const Symbol& sym = scope.nets.at(port);
-        if (sym.dir == Dir::Input)
-          for (const std::string& bit : sym.bits)
-            builder_->add_input(bit, sym.loc);
-      }
-      for (const std::string& port : m.header_ports) {
-        const Symbol& sym = scope.nets.at(port);
-        if (sym.dir == Dir::Output)
-          for (const std::string& bit : sym.bits)
-            builder_->add_output(bit, sym.loc);
-      }
-    }
-
-    // Items in source order.
-    for (const Item& item : m.items) {
-      if (item.kind == Item::Kind::Assign)
-        elaborate_assign(m.assigns[item.index], scope);
-      else
-        elaborate_instance(m.instances[item.index], scope);
-    }
-    path_.pop_back();
-  }
-
-  // Resolves a Ref expression to a single flat bit name.
-  std::string resolve_bit(const Expr& e, Scope& scope) {
-    GFRE_ASSERT(e.kind == Expr::Kind::Ref, "resolve_bit on non-ref");
-    Symbol* sym = lookup(e.name, scope, e.loc, /*implicit_ok=*/!e.index);
-    if (e.index) {
-      if (!sym->vector_net)
-        frontend::fail_at(e.loc,
-                          "bit-select on scalar net '" + e.name + "'");
-      std::int64_t idx = eval_int(*e.index, scope.params);
-      std::int64_t off = idx - sym->lsb;
-      if (off < 0 || off >= static_cast<std::int64_t>(sym->bits.size()))
-        frontend::fail_at(e.loc, "index " + std::to_string(idx) +
-                                     " out of range for '" + e.name + "'");
-      return sym->bits[static_cast<std::size_t>(off)];
-    }
-    if (sym->bits.size() != 1)
-      frontend::fail_at(e.loc,
-                        "vector net '" + e.name + "' used as a scalar");
-    return sym->bits[0];
-  }
-
-  // Resolves a Ref to all its bits (vector actuals in port connections).
-  std::vector<std::string> resolve_bits(const Expr& e, Scope& scope) {
-    if (!e.index) {
-      Symbol* sym = lookup(e.name, scope, e.loc, /*implicit_ok=*/true);
-      return sym->bits;
-    }
-    return {resolve_bit(e, scope)};
-  }
-
-  /// Scope lookup; scalar nets referenced before declaration are created
-  /// implicitly (matching common netlist-writer behavior).
-  Symbol* lookup(const std::string& name, Scope& scope, const Loc& loc,
-                 bool implicit_ok) {
-    auto it = scope.nets.find(name);
-    if (it != scope.nets.end()) return &it->second;
-    if (scope.params.count(name))
-      frontend::fail_at(loc, "parameter '" + name + "' used as a net");
-    if (!implicit_ok)
-      frontend::fail_at(loc, "undeclared vector net '" + name + "'");
-    Symbol sym;
-    sym.loc = loc;
-    sym.bits.push_back(scope.prefix + name);
-    return &scope.nets.emplace(name, std::move(sym)).first->second;
-  }
-
-  /// The flat net holding constant 0/1, creating its node on first use.
-  std::string const_net(bool one) {
-    std::string name = one ? "$const1" : "$const0";
-    bool& made = one ? made_const1_ : made_const0_;
-    if (!made) {
-      builder_->add_node(
-          name, std::span<const std::string>{}, Loc{filename_, 0, 0},
-          [one](Netlist& netlist, const std::vector<Var>&,
-                const std::string& out) {
-            netlist.add_gate(one ? CellType::Const1 : CellType::Const0, {},
-                             out);
-          });
-      made = true;
-    }
-    return name;
-  }
-
-  void elaborate_assign(const Assign& a, Scope& scope) {
-    std::string lhs = resolve_bit(a.lhs, scope);
-    // Resolve every leaf reference to its flat net name NOW — the emit
-    // callback runs during build(), after this scope is gone.
-    Expr rhs = flatten_expr(a.rhs, scope);
-    std::vector<std::string> args;
-    collect_refs(rhs, args);
-    builder_->add_node(
-        lhs, args, a.loc,
-        [this, rhs](Netlist& netlist, const std::vector<Var>& vars,
-                    const std::string& out) {
-          emit_assign(rhs, netlist, vars, out);
-        });
-  }
-
-  /// Emits an assign's expression.  One of several operators whose
-  /// function is a builtin cell over its distinct nets in first-use order
-  /// ("~(a & b)" is a NAND, "(a & b) | (a & c) | (b & c)" a MAJ3) becomes
-  /// that one cell — the matcher the BLIF and Liberty readers use; any
-  /// other expression is emitted operator by operator.  `vars` are the
-  /// nets of its Ref leaves in collect_refs order.
-  void emit_assign(const Expr& e, Netlist& netlist,
-                   const std::vector<Var>& vars, const std::string& out) {
-    const bool one_operator = std::all_of(
-        e.operands.begin(), e.operands.end(),
-        [](const Expr& op) { return op.kind == Expr::Kind::Ref; });
+  /// One of several operators whose function is a builtin cell over its
+  /// distinct nets in first-use order ("~(a & b)" is a NAND,
+  /// "(a & b) | (a & c) | (b & c)" a MAJ3) becomes that one cell — the
+  /// matcher the BLIF and Liberty readers use; any other expression is
+  /// emitted operator by operator.
+  void operator()(Netlist& netlist, const std::vector<Var>& vars,
+                  const std::string& out) const {
+    const Expr& e = (*exprs)[root];
+    const bool one_operator =
+        std::all_of(e.operands.begin(), e.operands.begin() + e.arity,
+                    [this](std::uint32_t op) {
+                      return (*exprs)[op].kind == Expr::Kind::Ref;
+                    });
+    std::size_t next = 0;
     if (!one_operator) {
       std::vector<Var> leaves;
-      std::size_t next = 0;
-      if (const auto table = expr_table(e, vars, next, leaves)) {
+      if (const auto table = truth_table(root, vars, next, leaves)) {
         if (const auto type = match_truth_table(*table, leaves.size())) {
           netlist.add_gate(*type, std::move(leaves), out);
           return;
         }
       }
+      next = 0;
     }
-    emit_expr(e, netlist, out);
+    emit(root, netlist, vars, next, out);
   }
 
-  /// The cell an operator node computes.
-  static CellType operator_cell(Expr::Kind kind) {
-    switch (kind) {
-      case Expr::Kind::Not: return CellType::Inv;
-      case Expr::Kind::And: return CellType::And;
-      case Expr::Kind::Or: return CellType::Or;
-      case Expr::Kind::Xor: return CellType::Xor;
-      case Expr::Kind::Mux: return CellType::Mux;
-      case Expr::Kind::Ref:
-      case Expr::Kind::Const:
-        break;
-    }
-    GFRE_ASSERT(false, "not an operator");
-    return CellType::Buf;
-  }
-
-  /// The truth table of `e` over `leaves`, the distinct nets among its
-  /// Ref leaves in first-use order; the leaves' nets are vars[next...].
-  /// nullopt past kMaxTableInputs distinct nets.
-  static std::optional<TruthTable> expr_table(const Expr& e,
-                                              const std::vector<Var>& vars,
-                                              std::size_t& next,
-                                              std::vector<Var>& leaves) {
+  /// The truth table of node `i` over `leaves`, the distinct nets among
+  /// its Ref leaves in first-use order; the leaves' nets are
+  /// vars[next...].  nullopt past kMaxTableInputs distinct nets.
+  std::optional<TruthTable> truth_table(std::uint32_t i,
+                                        const std::vector<Var>& vars,
+                                        std::size_t& next,
+                                        std::vector<Var>& leaves) const {
+    const Expr& e = (*exprs)[i];
     if (e.kind == Expr::Kind::Ref) {
       const Var v = vars[next++];
       auto it = std::find(leaves.begin(), leaves.end(), v);
@@ -1002,160 +752,477 @@ class Elaborator {
     if (e.kind == Expr::Kind::Const)
       return cell_table(e.const_one ? CellType::Const1 : CellType::Const0, {});
     std::array<TruthTable, 3> inputs;
-    for (std::size_t i = 0; i < e.operands.size(); ++i) {
-      const auto table = expr_table(e.operands[i], vars, next, leaves);
+    for (std::size_t k = 0; k < e.arity; ++k) {
+      const auto table = truth_table(e.operands[k], vars, next, leaves);
       if (!table) return std::nullopt;
-      inputs[i] = *table;
+      inputs[k] = *table;
     }
     return cell_table(operator_cell(e.kind),
-                      std::span<const TruthTable>(inputs.data(),
-                                                  e.operands.size()));
+                      std::span<const TruthTable>(inputs.data(), e.arity));
   }
 
-  /// Returns `e` with every Ref replaced by its resolved flat name.
-  Expr flatten_expr(const Expr& e, Scope& scope) {
-    Expr out = e;
-    if (e.kind == Expr::Kind::Ref) {
-      out.name = resolve_bit(e, scope);
-      out.index.reset();
-      return out;
-    }
-    for (Expr& op : out.operands) op = flatten_expr(op, scope);
-    return out;
-  }
-
-  /// Appends every leaf Ref name in a flattened expr to `args`.
-  void collect_refs(const Expr& e, std::vector<std::string>& args) {
-    if (e.kind == Expr::Kind::Ref) {
-      args.push_back(e.name);
-      return;
-    }
-    for (const Expr& op : e.operands) collect_refs(op, args);
-  }
-
-  /// Emits gates for a flattened expr; the root gate takes `name` (may be
-  /// "" = auto).
-  Var emit_expr(const Expr& e, Netlist& netlist, const std::string& name) {
+  /// Emits gates for node `i`; its root gate takes `name` ("" = auto).
+  Var emit(std::uint32_t i, Netlist& netlist, const std::vector<Var>& vars,
+           std::size_t& next, const std::string& name) const {
+    const Expr& e = (*exprs)[i];
     switch (e.kind) {
       case Expr::Kind::Ref: {
-        auto v = netlist.find_var(e.name);
-        GFRE_ASSERT(v.has_value(), "unresolved argument '" << e.name << "'");
-        if (name.empty()) return *v;
-        return netlist.add_gate(CellType::Buf, {*v}, name);
+        const Var v = vars[next++];
+        if (name.empty()) return v;
+        return netlist.add_gate(CellType::Buf, {v}, name);
       }
       case Expr::Kind::Const:
         return netlist.add_gate(
             e.const_one ? CellType::Const1 : CellType::Const0, {}, name);
       default: {
         std::vector<Var> inputs;
-        for (const Expr& op : e.operands)
-          inputs.push_back(emit_expr(op, netlist, ""));
+        inputs.reserve(e.arity);
+        for (std::size_t k = 0; k < e.arity; ++k)
+          inputs.push_back(emit(e.operands[k], netlist, vars, next, ""));
         return netlist.add_gate(operator_cell(e.kind), std::move(inputs),
                                 name);
       }
     }
   }
+};
 
-  void elaborate_instance(const Instance& inst, Scope& scope) {
-    auto mod_it = modules_.find(inst.target);
+// -- Elaboration -----------------------------------------------------------
+
+/// A module-scope net: a (possibly vector) net whose bits are bound to
+/// flat (top-level) nets, held as GraphBuilder ids.
+struct Symbol {
+  bool vector_net = false;
+  std::int64_t lsb = 0;          ///< smallest declared index (vectors)
+  std::uint32_t bits_begin = 0;  ///< [bits_begin, +width) in Scope::bits;
+  std::uint32_t width = 0;       ///< bit i is index lsb+i
+  Id name = kNone;               ///< module-local name id
+  Dir dir = Dir::Wire;
+  Pos pos;
+};
+
+struct Scope {
+  std::string prefix;  ///< "" at top, "u0." below
+  ParamEnv params;
+  std::vector<std::uint32_t> symbol_of;  ///< per module name id, or kNone
+  std::vector<Symbol> symbols;
+  /// Every symbol's bits as builder ids; kNone until first used, so the
+  /// builder numbers nets in the order the module's statements use them.
+  std::vector<Id> bits;
+};
+
+/// Port formals bound to flat actual bits, per child-module name id.
+struct Bindings {
+  std::vector<std::uint32_t> slot;  ///< per name id: into spans, or kNone
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;  ///< in bits
+  std::vector<Id> bits;
+};
+
+class Elaborator {
+ public:
+  Elaborator(const std::vector<Module>& modules, const frontend::Lexer& lexer,
+             const frontend::FrontendOptions& options)
+      : lexer_(lexer), options_(options) {
+    for (const Module& m : modules) {
+      if (!modules_.emplace(std::string(m.name), &m).second)
+        fail(m.pos, "module " + quoted(m.name) + " defined twice");
+    }
+  }
+
+  Netlist run() {
+    const Module& top = select_top();
+    builder_ = std::make_unique<frontend::GraphBuilder>(std::string(top.name),
+                                                        lexer_.files());
+    builder_->reserve(top.names.size(), top.items.size(), top.leaves.size());
+    Scope scope;
+    elaborate_module(top, scope, /*overrides=*/{}, /*bindings=*/nullptr,
+                     top.pos, /*is_top=*/true);
+    return builder_->build();
+  }
+
+ private:
+  [[noreturn]] void fail(const Pos& pos, const std::string& msg) const {
+    lexer_.fail_at(pos, msg);
+  }
+
+  std::int64_t eval_int(const IntExpr& e, const ParamEnv& env) const {
+    switch (e.kind) {
+      case IntExpr::Kind::Num:
+        return e.value;
+      case IntExpr::Kind::Ref: {
+        auto it = env.find(e.name);
+        if (it == env.end())
+          fail(e.pos, "undefined parameter " + quoted(e.name));
+        return it->second;
+      }
+      case IntExpr::Kind::Add:
+        return eval_int(e.operands[0], env) + eval_int(e.operands[1], env);
+      case IntExpr::Kind::Sub:
+        return eval_int(e.operands[0], env) - eval_int(e.operands[1], env);
+      case IntExpr::Kind::Mul:
+        return eval_int(e.operands[0], env) * eval_int(e.operands[1], env);
+      case IntExpr::Kind::Div: {
+        std::int64_t d = eval_int(e.operands[1], env);
+        if (d == 0) fail(e.pos, "division by zero in constant");
+        return eval_int(e.operands[0], env) / d;
+      }
+      case IntExpr::Kind::Neg:
+        return -eval_int(e.operands[0], env);
+    }
+    return 0;
+  }
+
+  const Module& select_top() {
+    if (!options_.top.empty()) {
+      auto it = modules_.find(options_.top);
+      if (it == modules_.end())
+        throw InvalidArgument("top module '" + options_.top + "' not found");
+      return *it->second;
+    }
+    if (modules_.size() == 1) return *modules_.begin()->second;
+    // The unique uninstantiated module is the top.
+    std::unordered_set<std::string_view> instantiated;
+    for (const auto& [name, m] : modules_)
+      for (const Instance& inst : m->instances)
+        instantiated.insert(inst.target);
+    const Module* top = nullptr;
+    for (const auto& [name, m] : modules_) {
+      if (instantiated.count(name)) continue;
+      if (top)
+        throw InvalidArgument(
+            "multiple top-level module candidates (" + quoted(top->name) +
+            ", '" + name + "'); select one explicitly");
+      top = m;
+    }
+    if (!top)
+      throw InvalidArgument(
+          "no top-level module (every module is instantiated)");
+    return *top;
+  }
+
+  /// The builder id of flat net `prefix + name`; at the top, where the
+  /// prefix is empty, the source name itself.
+  Id flat_net(const Scope& scope, std::string_view name) {
+    if (scope.prefix.empty()) return builder_->intern(name);
+    name_buffer_.assign(scope.prefix).append(name);
+    return builder_->intern(name_buffer_);
+  }
+
+  std::uint32_t add_symbol(Scope& scope, Symbol sym) {
+    scope.symbols.push_back(sym);
+    return static_cast<std::uint32_t>(scope.symbols.size() - 1);
+  }
+
+  /// Elaborates `m` into the builder.  `bindings`, when non-null, binds
+  /// formal ports to flat actual bits.
+  void elaborate_module(
+      const Module& m, Scope& scope,
+      const std::vector<std::pair<std::string_view, std::int64_t>>& overrides,
+      const Bindings* bindings, const Pos& site, bool is_top = false) {
+    if (path_.size() >= 64)
+      fail(site, "module hierarchy too deep (limit 64)");
+    path_.push_back(&m);
+
+    // Parameters: defaults in declaration order, overridden by name.
+    for (const Param& p : m.params) {
+      std::int64_t value = eval_int(p.value, scope.params);
+      if (!p.local)
+        for (const auto& [oname, ovalue] : overrides)
+          if (oname == p.name) value = ovalue;
+      if (!scope.params.emplace(std::string(p.name), value).second)
+        fail(p.pos, "parameter " + quoted(p.name) + " defined twice");
+    }
+    for (const auto& [oname, ovalue] : overrides) {
+      bool known = false;
+      for (const Param& p : m.params)
+        known = known || (!p.local && p.name == oname);
+      if (!known)
+        fail(site, "module " + quoted(m.name) + " has no parameter " +
+                       quoted(oname));
+    }
+
+    // Net declarations.
+    scope.symbol_of.assign(m.names.size(), kNone);
+    scope.symbols.reserve(m.decls.size());
+    scope.bits.reserve(m.decls.size());
+    for (const NetDecl& d : m.decls) {
+      const std::string_view name = m.names.name(d.name);
+      Symbol sym;
+      sym.dir = d.dir;
+      sym.pos = d.pos;
+      sym.width = 1;
+      sym.name = d.name;
+      if (d.range != kNone) {
+        const Range& range = m.ranges[d.range];
+        std::int64_t msb = eval_int(range.msb, scope.params);
+        std::int64_t lsb = eval_int(range.lsb, scope.params);
+        if (msb < lsb) std::swap(msb, lsb);
+        if (msb - lsb + 1 > 4096)
+          fail(d.pos, "vector " + quoted(name) + " too wide");
+        sym.vector_net = true;
+        sym.lsb = lsb;
+        sym.width = static_cast<std::uint32_t>(msb - lsb + 1);
+      }
+      if (d.dir != Dir::Wire && !m.is_port[d.name])
+        fail(d.pos, "port " + quoted(name) +
+                        " is not in the module port list");
+      // Port formals bound to parent actuals alias the parent nets.
+      const std::pair<std::uint32_t, std::uint32_t>* bound = nullptr;
+      if (bindings && d.dir != Dir::Wire &&
+          bindings->slot[d.name] != kNone) {
+        bound = &bindings->spans[bindings->slot[d.name]];
+        if (bound->second != sym.width)
+          fail(d.pos, "port " + quoted(name) + " is " +
+                          std::to_string(sym.width) +
+                          " bits wide but connects to " +
+                          std::to_string(bound->second) + " bits");
+      }
+      const std::uint32_t existing = scope.symbol_of[d.name];
+      if (existing == kNone) {
+        sym.bits_begin = static_cast<std::uint32_t>(scope.bits.size());
+        if (bound) {
+          scope.bits.insert(
+              scope.bits.end(), bindings->bits.begin() + bound->first,
+              bindings->bits.begin() + bound->first + bound->second);
+        } else {
+          scope.bits.insert(scope.bits.end(), sym.width, kNone);
+        }
+        scope.symbol_of[d.name] = add_symbol(scope, sym);
+      } else if (d.dir == Dir::Wire &&
+                 scope.symbols[existing].dir != Dir::Wire) {
+        // "output z; wire z;" — the wire redeclaration of a port is legal
+        // non-ANSI style; the port symbol stays.
+      } else {
+        fail(d.pos, "net " + quoted(name) + " declared twice");
+      }
+    }
+    for (const Id port : m.header_ports) {
+      const std::uint32_t s = scope.symbol_of[port];
+      if (s == kNone || scope.symbols[s].dir == Dir::Wire)
+        fail(m.pos, "port " + quoted(m.names.name(port)) +
+                        " has no direction declaration");
+    }
+
+    // Primary IO is registered before the items elaborate, so driving an
+    // input is diagnosed at the offending statement.  Header port order
+    // defines bit order (vector bits LSB-first).
+    if (is_top) {
+      for (const Dir dir : {Dir::Input, Dir::Output}) {
+        for (const Id port : m.header_ports) {
+          const Symbol& sym = scope.symbols[scope.symbol_of[port]];
+          if (sym.dir != dir) continue;
+          for (std::uint32_t i = 0; i < sym.width; ++i) {
+            const Id bit = bit_of(m, scope, sym, i);
+            if (dir == Dir::Input)
+              builder_->add_input(bit, sym.pos);
+            else
+              builder_->add_output(bit, sym.pos);
+          }
+        }
+      }
+    }
+
+    // Items in source order.
+    for (const Item& item : m.items) {
+      if (item.kind == Item::Kind::Assign)
+        elaborate_assign(m, m.assigns[item.index], scope);
+      else
+        elaborate_instance(m, m.instances[item.index], scope);
+    }
+    path_.pop_back();
+  }
+
+  /// Scope lookup; scalar nets referenced before declaration are created
+  /// implicitly (matching common netlist-writer behavior).
+  const Symbol& lookup(const Module& m, Id name, Scope& scope,
+                       const Pos& pos, bool implicit_ok) {
+    std::uint32_t s = scope.symbol_of[name];
+    if (s == kNone) {
+      const std::string_view text = m.names.name(name);
+      if (scope.params.count(text))
+        fail(pos, "parameter " + quoted(text) + " used as a net");
+      if (!implicit_ok) fail(pos, "undeclared vector net " + quoted(text));
+      Symbol sym;
+      sym.pos = pos;
+      sym.width = 1;
+      sym.name = name;
+      sym.bits_begin = static_cast<std::uint32_t>(scope.bits.size());
+      scope.bits.push_back(kNone);
+      s = scope.symbol_of[name] = add_symbol(scope, sym);
+    }
+    return scope.symbols[s];
+  }
+
+  /// The builder id of bit `i` (index lsb+i) of `sym`, interning its flat
+  /// name on first use.
+  Id bit_of(const Module& m, Scope& scope, const Symbol& sym,
+            std::uint32_t i) {
+    Id& bit = scope.bits[sym.bits_begin + i];
+    if (bit != kNone) return bit;
+    const std::string_view name = m.names.name(sym.name);
+    if (!sym.vector_net) return bit = flat_net(scope, name);
+    const std::int64_t index = sym.lsb + static_cast<std::int64_t>(i);
+    return bit = flat_net(scope, std::string(name) + "[" +
+                                     std::to_string(index) + "]");
+  }
+
+  /// Resolves a Ref expression to a single flat bit.
+  Id resolve_bit(const Module& m, const Expr& e, Scope& scope) {
+    GFRE_ASSERT(e.kind == Expr::Kind::Ref, "resolve_bit on non-ref");
+    const Symbol& sym = lookup(m, e.name(), scope, e.pos, e.index() == kNone);
+    if (e.index() != kNone) {
+      if (!sym.vector_net)
+        fail(e.pos, "bit-select on scalar net " + quoted(m.names.name(e.name())));
+      std::int64_t idx = eval_int(m.selects[e.index()], scope.params);
+      std::int64_t off = idx - sym.lsb;
+      if (off < 0 || off >= static_cast<std::int64_t>(sym.width))
+        fail(e.pos, "index " + std::to_string(idx) + " out of range for " +
+                        quoted(m.names.name(e.name())));
+      return bit_of(m, scope, sym, static_cast<std::uint32_t>(off));
+    }
+    if (sym.width != 1)
+      fail(e.pos,
+           "vector net " + quoted(m.names.name(e.name())) + " used as a scalar");
+    return bit_of(m, scope, sym, 0);
+  }
+
+  /// The flat net holding constant 0/1, creating its node on first use.
+  Id const_net(bool one) {
+    const Id net = builder_->intern(one ? "$const1" : "$const0");
+    bool& made = one ? made_const1_ : made_const0_;
+    if (!made) {
+      builder_->add_node(
+          net, {}, Pos{0, 0, 0},
+          [one](Netlist& netlist, const std::vector<Var>&,
+                const std::string& out) {
+            netlist.add_gate(one ? CellType::Const1 : CellType::Const0, {},
+                             out);
+          });
+      made = true;
+    }
+    return net;
+  }
+
+  void elaborate_assign(const Module& m, const Assign& a, Scope& scope) {
+    const Id lhs = resolve_bit(m, m.exprs[a.lhs], scope);
+    args_.clear();
+    for (std::uint32_t i = a.leaves_begin; i < a.leaves_end; ++i)
+      args_.push_back(resolve_bit(m, m.exprs[m.leaves[i]], scope));
+    builder_->add_node(lhs, args_, a.pos, AssignEmit{&m.exprs, a.rhs});
+  }
+
+  void elaborate_instance(const Module& m, const Instance& inst,
+                          Scope& scope) {
+    auto mod_it = modules_.find(std::string(inst.target));
     if (mod_it != modules_.end()) {
-      elaborate_module_instance(inst, *mod_it->second, scope);
+      elaborate_module_instance(m, inst, *mod_it->second, scope);
       return;
     }
     if (is_primitive(inst.target)) {
-      elaborate_primitive(inst, scope);
+      elaborate_primitive(m, inst, scope);
       return;
     }
     const frontend::LibCell* cell =
         options_.library ? options_.library->find(inst.target) : nullptr;
     if (cell) {
-      elaborate_cell(inst, *cell, scope);
+      elaborate_cell(m, inst, *cell, scope);
       return;
     }
     if (options_.library)
-      frontend::fail_at(inst.loc, "unknown module or cell '" + inst.target +
-                                      "' (not in library '" +
-                                      options_.library->name() + "')");
-    frontend::fail_at(inst.loc, "unknown module '" + inst.target +
-                                    "' (no cell library loaded)");
+      fail(inst.pos, "unknown module or cell " + quoted(inst.target) +
+                         " (not in library '" + options_.library->name() +
+                         "')");
+    fail(inst.pos,
+         "unknown module " + quoted(inst.target) + " (no cell library loaded)");
   }
 
-  void elaborate_module_instance(const Instance& inst, const Module& child,
-                                 Scope& scope) {
-    for (const std::string& frame : path_)
-      if (frame == child.name)
-        frontend::fail_at(inst.loc, "recursive instantiation of module '" +
-                                        child.name + "'");
+  void elaborate_module_instance(const Module& m, const Instance& inst,
+                                 const Module& child, Scope& scope) {
+    for (const Module* frame : path_)
+      if (frame == &child)
+        fail(inst.pos,
+             "recursive instantiation of module " + quoted(child.name));
     // Evaluate parameter overrides in the parent scope.
-    std::vector<std::pair<std::string, std::int64_t>> overrides;
+    std::vector<std::pair<std::string_view, std::int64_t>> overrides;
     for (const auto& [pname, pexpr] : inst.overrides)
       overrides.emplace_back(pname, eval_int(pexpr, scope.params));
-    // Bind formals to flat actual bit vectors.
-    std::map<std::string, std::vector<std::string>> bindings;
-    auto bind = [&](const std::string& formal, const Conn& conn) {
-      if (bindings.count(formal))
-        frontend::fail_at(conn.loc,
-                          "port '" + formal + "' connected twice");
-      if (!conn.actual) return;  // explicitly unconnected
-      bindings.emplace(formal, resolve_actual(*conn.actual, scope));
+    // Bind formals to flat actual bits.
+    Bindings bindings;
+    bindings.slot.assign(child.names.size(), kNone);
+    auto bind = [&](Id formal, const Conn& conn) {
+      if (bindings.slot[formal] != kNone)
+        fail(conn.pos,
+             "port " + quoted(child.names.name(formal)) + " connected twice");
+      if (conn.actual == kNone) return;  // explicitly unconnected
+      const auto begin = static_cast<std::uint32_t>(bindings.bits.size());
+      append_actual(m, m.exprs[conn.actual], scope, bindings.bits);
+      bindings.slot[formal] =
+          static_cast<std::uint32_t>(bindings.spans.size());
+      bindings.spans.emplace_back(
+          begin, static_cast<std::uint32_t>(bindings.bits.size()) - begin);
     };
     if (inst.named) {
-      std::unordered_set<std::string> ports(child.header_ports.begin(),
-                                            child.header_ports.end());
       for (const Conn& conn : inst.conns) {
-        if (!ports.count(conn.formal))
-          frontend::fail_at(conn.loc, "module '" + child.name +
-                                          "' has no port '" + conn.formal +
-                                          "'");
-        bind(conn.formal, conn);
+        const Id formal = child.names.find(conn.formal);
+        if (formal == kNone || !child.is_port[formal])
+          fail(conn.pos, "module " + quoted(child.name) + " has no port " +
+                             quoted(conn.formal));
+        bind(formal, conn);
       }
     } else {
       if (inst.conns.size() > child.header_ports.size())
-        frontend::fail_at(inst.loc,
-                          "module '" + child.name + "' has " +
-                              std::to_string(child.header_ports.size()) +
-                              " ports but " +
-                              std::to_string(inst.conns.size()) +
-                              " connections given");
+        fail(inst.pos, "module " + quoted(child.name) + " has " +
+                           std::to_string(child.header_ports.size()) +
+                           " ports but " + std::to_string(inst.conns.size()) +
+                           " connections given");
       for (std::size_t i = 0; i < inst.conns.size(); ++i)
         bind(child.header_ports[i], inst.conns[i]);
     }
     Scope child_scope;
     child_scope.prefix = scope.prefix + instance_prefix(inst) + ".";
-    elaborate_module(child, child_scope, overrides, &bindings, inst.loc);
+    elaborate_module(child, child_scope, overrides, &bindings, inst.pos);
   }
 
   std::string instance_prefix(const Instance& inst) {
-    if (!inst.name.empty()) return inst.name;
-    return "$" + inst.target + std::to_string(anon_counter_++);
+    if (!inst.name.empty()) return std::string(inst.name);
+    return "$" + std::string(inst.target) + std::to_string(anon_counter_++);
   }
 
-  /// Resolves a port-connection actual to flat bit names.  Only nets,
+  /// Appends a port-connection actual's flat bits to `out`.  Only nets,
   /// bit-selects and 1-bit constants are supported.
-  std::vector<std::string> resolve_actual(const Expr& e, Scope& scope) {
-    if (e.kind == Expr::Kind::Ref) return resolve_bits(e, scope);
-    if (e.kind == Expr::Kind::Const) return {const_net(e.const_one)};
-    frontend::fail_at(
-        e.loc, "port connections must be nets, bit-selects or constants");
+  void append_actual(const Module& m, const Expr& e, Scope& scope,
+                     std::vector<Id>& out) {
+    if (e.kind == Expr::Kind::Const) {
+      out.push_back(const_net(e.const_one));
+      return;
+    }
+    if (e.kind != Expr::Kind::Ref)
+      fail(e.pos, "port connections must be nets, bit-selects or constants");
+    if (e.index() != kNone) {
+      out.push_back(resolve_bit(m, e, scope));
+      return;
+    }
+    const Symbol& sym = lookup(m, e.name(), scope, e.pos, /*implicit_ok=*/true);
+    for (std::uint32_t i = 0; i < sym.width; ++i)
+      out.push_back(bit_of(m, scope, sym, i));
   }
 
-  void elaborate_primitive(const Instance& inst, Scope& scope) {
+  void elaborate_primitive(const Module& m, const Instance& inst,
+                           Scope& scope) {
     if (!inst.overrides.empty())
-      frontend::fail_at(inst.loc, "gate primitive '" + inst.target +
-                                      "' takes no parameters");
+      fail(inst.pos,
+           "gate primitive " + quoted(inst.target) + " takes no parameters");
     if (inst.named)
-      frontend::fail_at(inst.loc, "gate primitive '" + inst.target +
-                                      "' uses positional connections");
+      fail(inst.pos, "gate primitive " + quoted(inst.target) +
+                         " uses positional connections");
     CellType type = primitive_cell(inst.target);
     if (inst.conns.size() < 1 || !arity_ok(type, inst.conns.size() - 1))
-      frontend::fail_at(inst.loc,
-                        "wrong connection count for gate primitive '" +
-                            inst.target + "'");
-    std::string out = connection_bit(inst.conns[0], scope);
-    std::vector<std::string> args;
+      fail(inst.pos, "wrong connection count for gate primitive " +
+                         quoted(inst.target));
+    const Id out = connection_bit(m, inst.conns[0], scope);
+    std::vector<Id> args;
     for (std::size_t i = 1; i < inst.conns.size(); ++i)
-      args.push_back(connection_bit(inst.conns[i], scope));
-    builder_->add_node(out, args, inst.loc,
+      args.push_back(connection_bit(m, inst.conns[i], scope));
+    builder_->add_node(out, args, inst.pos,
                        [type](Netlist& netlist,
                               const std::vector<Var>& vars,
                               const std::string& out) {
@@ -1163,74 +1230,69 @@ class Elaborator {
                        });
   }
 
-  std::string connection_bit(const Conn& conn, Scope& scope) {
-    if (!conn.actual)
-      frontend::fail_at(conn.loc, "connection must not be empty here");
-    if (conn.actual->kind == Expr::Kind::Const)
-      return const_net(conn.actual->const_one);
-    if (conn.actual->kind != Expr::Kind::Ref)
-      frontend::fail_at(
-          conn.actual->loc,
-          "port connections must be nets, bit-selects or constants");
-    return resolve_bit(*conn.actual, scope);
+  Id connection_bit(const Module& m, const Conn& conn, Scope& scope) {
+    if (conn.actual == kNone)
+      fail(conn.pos, "connection must not be empty here");
+    const Expr& actual = m.exprs[conn.actual];
+    if (actual.kind == Expr::Kind::Const) return const_net(actual.const_one);
+    if (actual.kind != Expr::Kind::Ref)
+      fail(actual.pos,
+           "port connections must be nets, bit-selects or constants");
+    return resolve_bit(m, actual, scope);
   }
 
-  void elaborate_cell(const Instance& inst, const frontend::LibCell& cell,
-                      Scope& scope) {
+  void elaborate_cell(const Module& m, const Instance& inst,
+                      const frontend::LibCell& cell, Scope& scope) {
     if (!inst.overrides.empty())
-      frontend::fail_at(inst.loc, "'" + cell.name +
-                                      "' is a library cell and takes no "
-                                      "parameters");
+      fail(inst.pos, "'" + cell.name +
+                         "' is a library cell and takes no parameters");
     // Collect one actual per input pin plus the output actual.
-    std::vector<std::optional<std::string>> pin_actual(cell.inputs.size());
-    std::optional<std::string> out_actual;
+    std::vector<std::optional<Id>> pin_actual(cell.inputs.size());
+    std::optional<Id> out_actual;
     if (inst.named) {
       for (const Conn& conn : inst.conns) {
         int pin = cell.find_input(conn.formal);
         if (pin >= 0) {
           if (pin_actual[static_cast<std::size_t>(pin)])
-            frontend::fail_at(conn.loc,
-                              "pin '" + conn.formal + "' connected twice");
-          if (conn.actual)
+            fail(conn.pos, "pin " + quoted(conn.formal) + " connected twice");
+          if (conn.actual != kNone)
             pin_actual[static_cast<std::size_t>(pin)] =
-                connection_bit(conn, scope);
+                connection_bit(m, conn, scope);
         } else if (conn.formal == cell.output) {
           if (out_actual)
-            frontend::fail_at(conn.loc,
-                              "pin '" + conn.formal + "' connected twice");
-          if (conn.actual) out_actual = connection_bit(conn, scope);
+            fail(conn.pos, "pin " + quoted(conn.formal) + " connected twice");
+          if (conn.actual != kNone)
+            out_actual = connection_bit(m, conn, scope);
         } else {
-          frontend::fail_at(conn.loc, "cell '" + cell.name +
-                                          "' has no pin '" + conn.formal +
-                                          "'");
+          fail(conn.pos, "cell '" + cell.name + "' has no pin " +
+                             quoted(conn.formal));
         }
       }
     } else {
       // Positional convention matches Verilog primitives: output first,
       // then inputs in pin order.
       if (inst.conns.size() != cell.inputs.size() + 1)
-        frontend::fail_at(inst.loc,
-                          "cell '" + cell.name + "' expects " +
-                              std::to_string(cell.inputs.size() + 1) +
-                              " connections (output first), got " +
-                              std::to_string(inst.conns.size()));
-      out_actual = connection_bit(inst.conns[0], scope);
+        fail(inst.pos, "cell '" + cell.name + "' expects " +
+                           std::to_string(cell.inputs.size() + 1) +
+                           " connections (output first), got " +
+                           std::to_string(inst.conns.size()));
+      out_actual = connection_bit(m, inst.conns[0], scope);
       for (std::size_t i = 0; i < cell.inputs.size(); ++i)
-        pin_actual[i] = connection_bit(inst.conns[i + 1], scope);
+        pin_actual[i] = connection_bit(m, inst.conns[i + 1], scope);
     }
     for (std::size_t i = 0; i < pin_actual.size(); ++i)
       if (!pin_actual[i])
-        frontend::fail_at(inst.loc, "cell '" + cell.name + "' input pin '" +
-                                        cell.inputs[i] + "' is unconnected");
-    std::string out = out_actual
-                          ? *out_actual
-                          : scope.prefix + instance_prefix(inst) + "." +
-                                cell.output;
-    std::vector<std::string> args;
+        fail(inst.pos, "cell '" + cell.name + "' input pin '" +
+                           cell.inputs[i] + "' is unconnected");
+    const Id out =
+        out_actual ? *out_actual
+                   : builder_->intern(scope.prefix + instance_prefix(inst) +
+                                      "." + cell.output);
+    std::vector<Id> args;
     for (const auto& a : pin_actual) args.push_back(*a);
     const frontend::LibCell* cell_ptr = &cell;
     builder_->add_node(
-        out, args, inst.loc,
+        out, args, inst.pos,
         [cell_ptr](Netlist& netlist, const std::vector<Var>& vars,
                    const std::string& out) {
           if (cell_ptr->builtin) {
@@ -1241,11 +1303,13 @@ class Elaborator {
         });
   }
 
+  const frontend::Lexer& lexer_;
   const frontend::FrontendOptions& options_;
-  std::string filename_;
   std::unordered_map<std::string, const Module*> modules_;
   std::unique_ptr<frontend::GraphBuilder> builder_;
-  std::vector<std::string> path_;  ///< module names on the elaboration stack
+  std::vector<const Module*> path_;  ///< modules on the elaboration stack
+  std::vector<Id> args_;             ///< an assign's resolved leaves
+  std::string name_buffer_;          ///< a prefixed flat name being built
   bool made_const0_ = false;
   bool made_const1_ = false;
   unsigned anon_counter_ = 0;
@@ -1255,10 +1319,16 @@ class Elaborator {
 
 Netlist read_verilog(const std::string& text, const std::string& filename,
                      const frontend::FrontendOptions& options) {
-  std::vector<Module> modules = VerilogParser(text, filename).parse();
+  frontend::Lexer lexer(text, filename,
+                        frontend::LexSyntax{.slash_comments = true,
+                                            .verilog_numbers = true,
+                                            .escaped_idents = true,
+                                            .directives = true},
+                        frontend::filesystem_include_resolver());
+  const std::vector<Module> modules = VerilogParser(lexer).parse();
   if (modules.empty())
     throw ParseError(filename, 1, "no module definition found");
-  return Elaborator(modules, options, filename).run();
+  return Elaborator(modules, lexer, options).run();
 }
 
 Netlist read_verilog(const std::string& text, const std::string& filename) {

@@ -9,8 +9,10 @@
 //
 // The netlist (its nets are the ids) and the frontend's GraphBuilder (one
 // id per source name) both sit on this table, so a name is hashed and
-// copied once on its way from the parser to the Netlist.  Not thread-safe
-// for writers; concurrent readers are fine.
+// copied once on its way from the parser to the Netlist.  NameViewTable
+// holds views instead of copies, for a parser whose source text outlives
+// the table (the Verilog reader's per-module names).  Not thread-safe for
+// writers; concurrent readers are fine.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,8 @@
 
 namespace gfre::util {
 
-class NameTable {
+template <typename Name>
+class BasicNameTable {
  public:
   using Id = std::uint32_t;
   static constexpr Id kNone = ~Id{0};
@@ -60,8 +63,14 @@ class NameTable {
     }
   }
 
-  const std::string& name(Id id) const { return names_[id]; }
+  const Name& name(Id id) const { return names_[id]; }
   std::size_t size() const { return names_.size(); }
+
+  /// Room for `names` names without growing.
+  void reserve(std::size_t names) {
+    names_.reserve(names);
+    while (slots_.size() < 2 * names) grow();
+  }
 
  private:
   struct Slot {
@@ -89,8 +98,11 @@ class NameTable {
     }
   }
 
-  std::vector<std::string> names_;  ///< names_[id]
-  std::vector<Slot> slots_;         ///< power-of-two capacity, or empty
+  std::vector<Name> names_;  ///< names_[id]
+  std::vector<Slot> slots_;  ///< power-of-two capacity, or empty
 };
+
+using NameTable = BasicNameTable<std::string>;
+using NameViewTable = BasicNameTable<std::string_view>;
 
 }  // namespace gfre::util
