@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "frontend/graph.hpp"
 #include "frontend/source.hpp"
@@ -18,11 +19,10 @@ namespace {
 
 // -- Writing ---------------------------------------------------------------
 
-/// Emits the SOP cover of a cell.  Rows are over the gate's inputs in order;
-/// the final column is the output value.
-void write_cover(std::ostream& out, const Gate& gate) {
-  const std::size_t n = gate.inputs.size();
-  switch (gate.type) {
+/// Emits the SOP cover of an `n`-input cell.  Rows are over the inputs in
+/// order; the final column is the output value.
+void write_cover(std::ostream& out, CellType type, std::size_t n) {
+  switch (type) {
     case CellType::Const0:
       // Empty cover = constant 0.
       return;
@@ -59,7 +59,7 @@ void write_cover(std::ostream& out, const Gate& gate) {
   std::array<bool, kMaxTableInputs> in{};
   for (std::size_t row = 0; row < (std::size_t{1} << n); ++row) {
     for (std::size_t i = 0; i < n; ++i) in[i] = (row >> i) & 1;
-    if (eval_cell(gate.type, std::span<const bool>(in.data(), n))) {
+    if (eval_cell(type, std::span<const bool>(in.data(), n))) {
       std::string bits(n, '0');
       for (std::size_t i = 0; i < n; ++i) {
         if (in[i]) bits[i] = '1';
@@ -233,6 +233,46 @@ void synthesize_node(Netlist& netlist, const NamesNode& node,
   reduce_or(std::move(terms), out_name, !polarity);
 }
 
+/// Writes one `.names` block.
+void write_names(std::ostream& out, std::span<const std::string_view> inputs,
+                 std::string_view output, CellType type) {
+  out << ".names";
+  for (const std::string_view in : inputs) out << " " << in;
+  out << " " << output << "\n";
+  write_cover(out, type, inputs.size());
+}
+
+/// Writes an XOR or XNOR wider than a cover enumerates (kMaxTableInputs
+/// columns) as a chain of XOR covers of at most that many columns, each
+/// feeding the next through a helper net, the last one computing `gate`.
+/// Helper names take "<output>$xor<k>" and skip any name the netlist or
+/// an earlier helper (`taken`) already has.
+void write_wide_parity(std::ostream& out, const Netlist& netlist,
+                       const Gate& gate,
+                       std::unordered_set<std::string>& taken) {
+  const std::string& output = netlist.var_name(gate.output);
+  std::vector<std::string_view> columns;
+  std::string carry;
+  std::size_t next = 0;
+  unsigned k = 0;
+  while (true) {
+    columns.clear();
+    if (!carry.empty()) columns.push_back(carry);
+    while (columns.size() < kMaxTableInputs && next < gate.inputs.size())
+      columns.push_back(netlist.var_name(gate.inputs[next++]));
+    if (next == gate.inputs.size()) {
+      write_names(out, columns, output, gate.type);
+      return;
+    }
+    std::string helper;
+    do {
+      helper = output + "$xor" + std::to_string(k++);
+    } while (netlist.find_var(helper) || !taken.insert(helper).second);
+    write_names(out, columns, helper, CellType::Xor);
+    carry = std::move(helper);
+  }
+}
+
 }  // namespace
 
 std::string write_blif(const Netlist& netlist) {
@@ -243,12 +283,19 @@ std::string write_blif(const Netlist& netlist) {
   out << "\n.outputs";
   for (Var v : netlist.outputs()) out << " " << netlist.var_name(v);
   out << "\n";
+  std::unordered_set<std::string> helpers;
+  std::vector<std::string_view> inputs;
   for (std::size_t g : netlist.topological_order()) {
     const Gate& gate = netlist.gate(g);
-    out << ".names";
-    for (Var in : gate.inputs) out << " " << netlist.var_name(in);
-    out << " " << netlist.var_name(gate.output) << "\n";
-    write_cover(out, gate);
+    const bool parity =
+        gate.type == CellType::Xor || gate.type == CellType::Xnor;
+    if (parity && gate.inputs.size() > kMaxTableInputs) {
+      write_wide_parity(out, netlist, gate, helpers);
+      continue;
+    }
+    inputs.clear();
+    for (Var in : gate.inputs) inputs.push_back(netlist.var_name(in));
+    write_names(out, inputs, netlist.var_name(gate.output), gate.type);
   }
   out << ".end\n";
   return out.str();
