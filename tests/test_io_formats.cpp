@@ -284,6 +284,25 @@ TEST(BlifFormat, Errors) {
   }
 }
 
+TEST(BlifFormat, WideParityGatesExportAsCoverChains) {
+  // A cover lists at most kMaxTableInputs columns, so a wider XOR or XNOR
+  // is written as a chain of XOR covers through helper nets.  The helpers
+  // skip every source name: "y$xor0" is taken here.
+  std::string eqn = "model wide\ninput";
+  for (int i = 0; i < 20; ++i) eqn += " a" + std::to_string(i);
+  eqn += ";\noutput x y y$xor0;\nx = XOR(a0";
+  for (int i = 1; i < 9; ++i) eqn += ", a" + std::to_string(i);
+  eqn += ");\ny = XNOR(a0";
+  for (int i = 1; i < 20; ++i) eqn += ", a" + std::to_string(i);
+  eqn += ");\ny$xor0 = AND(a0, a1);\n";
+  const Netlist original = read_eqn(eqn);
+  const Netlist back = read_blif(write_blif(original));
+  Prng rng(11);
+  EXPECT_TRUE(same_function(original, back, rng));
+  EXPECT_TRUE(back.find_var("y$xor1").has_value());
+  EXPECT_EQ(back.num_gates(), original.num_gates() + 3);  // x: 1, y: 2
+}
+
 // ---------------------------------------------------------------------------
 // Verilog
 // ---------------------------------------------------------------------------
@@ -512,11 +531,12 @@ TEST(VerilogFormat, Errors) {
   fs::remove_all(dir);
 }
 
-// Every generator family, from small fields to NIST B-163 size.  Each
-// cover write_blif emits reads back as the one cell that wrote it, so a
-// BLIF round trip keeps the netlist's own gates and extraction does the
-// same work from BLIF as from .eqn.
-TEST(CrossFormat, BlifRoundTripKeepsEveryFamilysGates) {
+// Every generator family, from small fields to NIST B-163 size, written
+// by `write` and read back by `read`: the netlist must come back with the
+// gates it has when read from .eqn, so extraction does the same work from
+// either dialect.
+template <typename Write, typename Read>
+void expect_round_trip_keeps_every_familys_gates(Write write, Read read) {
   for (unsigned m : {8u, 16u, 64u, 163u}) {
     const gf2m::Field field(gf2::default_irreducible(m));
     gen::MastrovitoOptions matrix;
@@ -535,22 +555,39 @@ TEST(CrossFormat, BlifRoundTripKeepsEveryFamilysGates) {
       const std::string label = std::string(family) + " m=" +
                                 std::to_string(m);
       const Netlist via_eqn = read_eqn(write_eqn(netlist));
-      const Netlist via_blif = read_blif(write_blif(netlist));
-      EXPECT_EQ(via_blif.num_gates(), netlist.num_gates()) << label;
-      EXPECT_EQ(via_blif.cell_histogram(), netlist.cell_histogram()) << label;
+      const Netlist via_dialect = read(write(netlist));
+      EXPECT_EQ(via_eqn.num_gates(), netlist.num_gates()) << label;
+      EXPECT_EQ(via_dialect.num_gates(), via_eqn.num_gates()) << label;
+      EXPECT_EQ(via_dialect.cell_histogram(), via_eqn.cell_histogram())
+          << label;
       const auto from_eqn = core::extract_all_outputs(via_eqn, 2);
-      const auto from_blif = core::extract_all_outputs(via_blif, 2);
-      ASSERT_EQ(from_blif.per_bit.size(), from_eqn.per_bit.size()) << label;
+      const auto from_dialect = core::extract_all_outputs(via_dialect, 2);
+      ASSERT_EQ(from_dialect.per_bit.size(), from_eqn.per_bit.size())
+          << label;
       for (std::size_t bit = 0; bit < from_eqn.per_bit.size(); ++bit) {
-        EXPECT_EQ(from_blif.per_bit[bit].substitutions,
+        EXPECT_EQ(from_dialect.per_bit[bit].substitutions,
                   from_eqn.per_bit[bit].substitutions)
             << label << " bit " << bit;
-        EXPECT_EQ(from_blif.per_bit[bit].peak_terms,
+        EXPECT_EQ(from_dialect.per_bit[bit].peak_terms,
                   from_eqn.per_bit[bit].peak_terms)
             << label << " bit " << bit;
       }
     }
   }
+}
+
+// Each cover write_blif emits reads back as the one cell that wrote it.
+TEST(CrossFormat, BlifRoundTripKeepsEveryFamilysGates) {
+  expect_round_trip_keeps_every_familys_gates(
+      [](const Netlist& n) { return write_blif(n); },
+      [](const std::string& text) { return read_blif(text); });
+}
+
+// Each assign write_verilog emits reads back as the one cell that wrote it.
+TEST(CrossFormat, VerilogRoundTripKeepsEveryFamilysGates) {
+  expect_round_trip_keeps_every_familys_gates(
+      [](const Netlist& n) { return write_verilog(n); },
+      [](const std::string& text) { return read_verilog(text); });
 }
 
 // Cross-format: eqn -> blif -> verilog -> eqn preserves the function.
