@@ -74,8 +74,7 @@ struct Cell {
 int main() {
   bench::print_header("Ablation: obfuscation passes vs the recovery flow");
 
-  const auto seeds =
-      static_cast<unsigned>(env_long("GFRE_OBF_SEEDS", 3));
+  const unsigned seeds = bench::bench_count("GFRE_OBF_SEEDS", 3);
   const std::vector<std::string> families{"mastrovito", "montgomery"};
   std::vector<unsigned> widths{8, 16};
   if (full_scale_requested()) widths = {8, 16, 32};

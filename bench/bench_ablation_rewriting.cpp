@@ -105,6 +105,9 @@ double time_extraction(const std::function<core::ExtractionResult()>& run,
 int main() {
   bench::print_header(
       "Ablation: packed vs indexed vs naive-scan backward rewriting");
+  // Read before any timing, so a malformed value fails fast.
+  const int tier_reps =
+      static_cast<int>(bench::bench_count("GFRE_LARGE_M_REPS", 3));
 
   std::vector<unsigned> widths{8, 16, 32, 64};
   if (full_scale_requested()) widths = {16, 32, 64, 96, 163};
@@ -200,8 +203,6 @@ int main() {
   // each config's first run so the recorded figure covers that extraction
   // alone.
   const char* simd_level = simd::to_string(simd::active_level());
-  const int tier_reps =
-      static_cast<int>(env_long("GFRE_LARGE_M_REPS", 3));
   const std::vector<unsigned> tier_widths{163, 233, 283, 409, 571};
 
   TextTable tier_table({"family", "m", "#eqns", "packed(s)", "peak-rss"});

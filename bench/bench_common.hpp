@@ -49,29 +49,40 @@ struct Row {
   std::optional<PaperReference> paper;
 };
 
+/// Ends a bench whose environment is malformed as a usage error (exit 2)
+/// instead of an uncaught exception or a silent default.
+[[noreturn]] inline void usage_error(const std::string& message) {
+  std::fprintf(stderr, "error: %s\n", message.c_str());
+  std::exit(2);
+}
+
 /// Rewriting backend for the table benches: GFRE_STRATEGY
 /// (packed|indexed) overrides the packed default, so any paper table
-/// can be regenerated on any backend without a rebuild.
+/// can be regenerated on any backend without a rebuild.  Any other value
+/// is a usage error.
 inline core::RewriteStrategy configured_strategy() {
   const std::string name = env_string("GFRE_STRATEGY", "packed");
   const auto strategy = core::strategy_from_name(name);
-  if (!strategy.has_value()) {
-    std::printf("warning: unknown GFRE_STRATEGY '%s', using packed\n",
-                name.c_str());
-    return core::RewriteStrategy::Packed;
-  }
+  if (!strategy.has_value())
+    usage_error("GFRE_STRATEGY wants packed|indexed, got '" + name + "'");
   return *strategy;
 }
 
-/// Flow threads for the benches: GFRE_THREADS through the strict parser,
-/// where a malformed value ends the bench as a usage error (exit 2)
-/// instead of an uncaught exception.
+/// Flow threads for the benches: GFRE_THREADS through the strict parser.
 inline unsigned bench_threads() {
   try {
     return static_cast<unsigned>(configured_threads());
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    std::exit(2);
+    usage_error(e.what());
+  }
+}
+
+/// A count knob such as GFRE_LARGE_M_REPS: env_uint in [1, 1000].
+inline unsigned bench_count(const char* name, unsigned fallback) {
+  try {
+    return static_cast<unsigned>(env_uint(name, fallback, 1, 1000));
+  } catch (const Error& e) {
+    usage_error(e.what());
   }
 }
 

@@ -36,13 +36,11 @@ std::size_t configured_threads() {
   return parse_uint("GFRE_THREADS", v, 1, kMaxThreads);
 }
 
-long env_long(const char* name, long fallback) {
+std::uint64_t env_uint(const char* name, std::uint64_t fallback,
+                       std::uint64_t lo, std::uint64_t hi) {
   const char* v = std::getenv(name);
   if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v) return fallback;
-  return parsed;
+  return parse_uint(name, v, lo, hi);
 }
 
 std::string env_string(const char* name, const std::string& fallback) {

@@ -36,8 +36,12 @@ bool full_scale_requested();
 /// hardware concurrency.
 std::size_t configured_threads();
 
-/// Integer environment variable with default.
-long env_long(const char* name, long fallback);
+/// Unsigned integer environment variable: `fallback` when unset or empty,
+/// otherwise parsed by parse_uint into [lo, hi], so junk throws
+/// InvalidArgument naming the variable instead of falling back.
+std::uint64_t env_uint(
+    const char* name, std::uint64_t fallback, std::uint64_t lo = 0,
+    std::uint64_t hi = std::numeric_limits<std::uint64_t>::max());
 
 /// String environment variable with default.
 std::string env_string(const char* name, const std::string& fallback);

@@ -9,7 +9,6 @@
 // per-bit term budget turns exponential mutants into diagnosed failures).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "netlist/io_verilog.hpp"
 #include "obf/passes.hpp"
 #include "util/error.hpp"
+#include "util/options.hpp"
 #include "util/prng.hpp"
 
 #ifndef GFRE_SOURCE_DIR
@@ -44,12 +44,9 @@ using gf2::Poly;
 /// Per-mutation seed count.  2 in the tier-1 suite; the nightly CI long
 /// run dials it up through the environment (GFRE_FUZZ_ITERS=25 multiplies
 /// the whole wall without touching the code).
+/// A malformed value throws InvalidArgument naming the variable.
 std::uint64_t fuzz_iters() {
-  if (const char* env = std::getenv("GFRE_FUZZ_ITERS")) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v >= 1 && v <= 1000000) return v;
-  }
-  return 2;
+  return env_uint("GFRE_FUZZ_ITERS", 2, 1, 1000000);
 }
 
 enum class Mutation {

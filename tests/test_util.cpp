@@ -364,12 +364,27 @@ TEST(Jsonl, WriterRoundTripsThroughAFile) {
 }
 
 TEST(Options, EnvParsing) {
-  ::setenv("GFRE_TEST_LONG", "42", 1);
-  EXPECT_EQ(env_long("GFRE_TEST_LONG", 7), 42);
-  ::setenv("GFRE_TEST_LONG", "not-a-number", 1);
-  EXPECT_EQ(env_long("GFRE_TEST_LONG", 7), 7);
-  ::unsetenv("GFRE_TEST_LONG");
-  EXPECT_EQ(env_long("GFRE_TEST_LONG", 7), 7);
+  ::setenv("GFRE_TEST_UINT", "42", 1);
+  EXPECT_EQ(env_uint("GFRE_TEST_UINT", 7), 42u);
+  // Junk, a sign or a value out of range is an error naming the
+  // variable, never a silent fallback.
+  for (const char* junk : {"not-a-number", "12abc", "-1", " 5"}) {
+    ::setenv("GFRE_TEST_UINT", junk, 1);
+    try {
+      env_uint("GFRE_TEST_UINT", 7);
+      ADD_FAILURE() << "accepted '" << junk << "'";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("GFRE_TEST_UINT"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  ::setenv("GFRE_TEST_UINT", "0", 1);
+  EXPECT_THROW(env_uint("GFRE_TEST_UINT", 7, 1, 1000), InvalidArgument);
+  ::setenv("GFRE_TEST_UINT", "", 1);
+  EXPECT_EQ(env_uint("GFRE_TEST_UINT", 7), 7u);
+  ::unsetenv("GFRE_TEST_UINT");
+  EXPECT_EQ(env_uint("GFRE_TEST_UINT", 7), 7u);
   ::setenv("GFRE_TEST_STR", "hello", 1);
   EXPECT_EQ(env_string("GFRE_TEST_STR", "x"), "hello");
   ::unsetenv("GFRE_TEST_STR");
