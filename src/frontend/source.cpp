@@ -167,7 +167,7 @@ Lexer::Lexer(std::string_view text, std::string file, LexSyntax syntax,
     : syntax_(syntax), resolver_(std::move(resolver)) {
   files_.push_back(std::move(file));
   frames_.push_back(Frame{text, 0});
-  tok_ = lex_token();
+  lex_token();
 }
 
 void Lexer::fail_at(const Pos& pos, const std::string& msg) const {
@@ -315,14 +315,17 @@ void Lexer::handle_directive() {
   frames_.push_back(Frame{owned_.back(), file});
 }
 
-Token Lexer::lex_token() {
+void Lexer::lex_token() {
   skip_trivia();
-  Token t;
+  Token& t = tok_;
+  t.value = 0;
+  t.width = 0;
+  t.escaped = false;
   t.pos = here();
   if (frame_eof()) {
     t.kind = Token::Kind::End;
     t.text = "<end of input>";
-    return t;
+    return;
   }
   const char c = cur();
   if (syntax_.escaped_idents && c == '\\') {
@@ -333,14 +336,14 @@ Token Lexer::lex_token() {
     if (t.text.empty()) fail_at(t.pos, "empty escaped identifier");
     t.kind = Token::Kind::Ident;
     t.escaped = true;
-    return t;
+    return;
   }
   if (ident_start(c)) {
     t.kind = Token::Kind::Ident;
     t.text = take_while([](char ch) {
       return kIdentChar[static_cast<unsigned char>(ch)];
     });
-    return t;
+    return;
   }
   if (is_digit(c)) {
     const std::size_t begin = top().pos;
@@ -351,7 +354,6 @@ Token Lexer::lex_token() {
     t.kind = Token::Kind::Number;
     t.text = digits;
     t.value = value;
-    t.width = 0;
     if (syntax_.verilog_numbers && !frame_eof() && cur() == '\'') {
       // Sized literal: <width>'<base><digits>
       advance();
@@ -395,7 +397,7 @@ Token Lexer::lex_token() {
         t.text = owned_.back();
       }
     }
-    return t;
+    return;
   }
   if (c == '"') {
     advance();
@@ -403,17 +405,16 @@ Token Lexer::lex_token() {
     if (frame_eof() || cur() != '"') fail_at(t.pos, "unterminated string");
     advance();
     t.kind = Token::Kind::String;
-    return t;
+    return;
   }
   t.kind = Token::Kind::Punct;
   t.text = top().text.substr(top().pos, 1);
   advance();
-  return t;
 }
 
 Token Lexer::next() {
   Token prev = tok_;
-  tok_ = lex_token();
+  lex_token();
   return prev;
 }
 
@@ -428,18 +429,18 @@ void Lexer::expect_punct(char c) {
   if (!tok_.is_punct(c))
     fail(std::string("expected '") + c + "', got '" + std::string(tok_.text) +
          "'");
-  tok_ = lex_token();
+  lex_token();
 }
 
 bool Lexer::accept_punct(char c) {
   if (!tok_.is_punct(c)) return false;
-  tok_ = lex_token();
+  lex_token();
   return true;
 }
 
 bool Lexer::accept_ident(std::string_view s) {
   if (!tok_.is_ident(s)) return false;
-  tok_ = lex_token();
+  lex_token();
   return true;
 }
 

@@ -209,7 +209,7 @@ class Lexer {
   std::string_view take_while(Pred pred);
   void skip_trivia();          ///< whitespace, comments, frame pops
   void handle_directive();     ///< backtick directives (`include ...)
-  Token lex_token();           ///< one token from the current frame
+  void lex_token();            ///< the next token of the input into tok_
   Pos here() const;
 
   LexSyntax syntax_;

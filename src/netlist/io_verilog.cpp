@@ -143,8 +143,9 @@ using frontend::Pos;
 using Id = util::NameTable::Id;
 constexpr std::uint32_t kNone = util::NameTable::kNone;
 
-// The AST below holds views into the lexer's text (names, literals), so
-// the lexer outlives both the parse and the elaboration.
+// The AST below holds views into the lexer's text (module, instance and
+// parameter names), so the lexer outlives both the parse and the
+// elaboration.
 
 // -- Integer (parameter) expressions ---------------------------------------
 
@@ -233,7 +234,7 @@ struct Item {
 struct Module {
   std::string_view name;
   /// Every net and port name the module mentions, by module-local id.
-  util::NameViewTable names;
+  util::NameTable names;
   std::vector<Id> header_ports;
   std::vector<unsigned char> is_port;  ///< per name id: in header_ports
   std::vector<NetDecl> decls;
@@ -795,7 +796,6 @@ struct Symbol {
   std::int64_t lsb = 0;          ///< smallest declared index (vectors)
   std::uint32_t bits_begin = 0;  ///< [bits_begin, +width) in Scope::bits;
   std::uint32_t width = 0;       ///< bit i is index lsb+i
-  Id name = kNone;               ///< module-local name id
   Dir dir = Dir::Wire;
   Pos pos;
 };
@@ -804,10 +804,11 @@ struct Scope {
   std::string prefix;  ///< "" at top, "u0." below
   ParamEnv params;
   std::vector<std::uint32_t> symbol_of;  ///< per module name id, or kNone
+  /// Per module name id: the flat net of a scalar symbol, or kNone.  The
+  /// one lookup a plain net reference takes.
+  std::vector<Id> scalar_bit;
   std::vector<Symbol> symbols;
-  /// Every symbol's bits as builder ids; kNone until first used, so the
-  /// builder numbers nets in the order the module's statements use them.
-  std::vector<Id> bits;
+  std::vector<Id> bits;  ///< every symbol's bits, as GraphBuilder ids
 };
 
 /// Port formals bound to flat actual bits, per child-module name id.
@@ -907,9 +908,12 @@ class Elaborator {
     return builder_->intern(name_buffer_);
   }
 
-  std::uint32_t add_symbol(Scope& scope, Symbol sym) {
+  /// Binds `name` to `sym`, whose bits are already in Scope::bits.
+  std::uint32_t add_symbol(Scope& scope, Id name, const Symbol& sym) {
+    scope.symbol_of[name] = static_cast<std::uint32_t>(scope.symbols.size());
+    if (!sym.vector_net) scope.scalar_bit[name] = scope.bits[sym.bits_begin];
     scope.symbols.push_back(sym);
-    return static_cast<std::uint32_t>(scope.symbols.size() - 1);
+    return scope.symbol_of[name];
   }
 
   /// Elaborates `m` into the builder.  `bindings`, when non-null, binds
@@ -942,6 +946,7 @@ class Elaborator {
 
     // Net declarations.
     scope.symbol_of.assign(m.names.size(), kNone);
+    scope.scalar_bit.assign(m.names.size(), kNone);
     scope.symbols.reserve(m.decls.size());
     scope.bits.reserve(m.decls.size());
     for (const NetDecl& d : m.decls) {
@@ -950,7 +955,6 @@ class Elaborator {
       sym.dir = d.dir;
       sym.pos = d.pos;
       sym.width = 1;
-      sym.name = d.name;
       if (d.range != kNone) {
         const Range& range = m.ranges[d.range];
         std::int64_t msb = eval_int(range.msb, scope.params);
@@ -983,10 +987,14 @@ class Elaborator {
           scope.bits.insert(
               scope.bits.end(), bindings->bits.begin() + bound->first,
               bindings->bits.begin() + bound->first + bound->second);
+        } else if (sym.vector_net) {
+          for (std::int64_t i = sym.lsb; i < sym.lsb + sym.width; ++i)
+            scope.bits.push_back(flat_net(
+                scope, std::string(name) + "[" + std::to_string(i) + "]"));
         } else {
-          scope.bits.insert(scope.bits.end(), sym.width, kNone);
+          scope.bits.push_back(flat_net(scope, name));
         }
-        scope.symbol_of[d.name] = add_symbol(scope, sym);
+        add_symbol(scope, d.name, sym);
       } else if (d.dir == Dir::Wire &&
                  scope.symbols[existing].dir != Dir::Wire) {
         // "output z; wire z;" — the wire redeclaration of a port is legal
@@ -1011,7 +1019,7 @@ class Elaborator {
           const Symbol& sym = scope.symbols[scope.symbol_of[port]];
           if (sym.dir != dir) continue;
           for (std::uint32_t i = 0; i < sym.width; ++i) {
-            const Id bit = bit_of(m, scope, sym, i);
+            const Id bit = scope.bits[sym.bits_begin + i];
             if (dir == Dir::Input)
               builder_->add_input(bit, sym.pos);
             else
@@ -1044,30 +1052,18 @@ class Elaborator {
       Symbol sym;
       sym.pos = pos;
       sym.width = 1;
-      sym.name = name;
       sym.bits_begin = static_cast<std::uint32_t>(scope.bits.size());
-      scope.bits.push_back(kNone);
-      s = scope.symbol_of[name] = add_symbol(scope, sym);
+      scope.bits.push_back(flat_net(scope, text));
+      s = add_symbol(scope, name, sym);
     }
     return scope.symbols[s];
-  }
-
-  /// The builder id of bit `i` (index lsb+i) of `sym`, interning its flat
-  /// name on first use.
-  Id bit_of(const Module& m, Scope& scope, const Symbol& sym,
-            std::uint32_t i) {
-    Id& bit = scope.bits[sym.bits_begin + i];
-    if (bit != kNone) return bit;
-    const std::string_view name = m.names.name(sym.name);
-    if (!sym.vector_net) return bit = flat_net(scope, name);
-    const std::int64_t index = sym.lsb + static_cast<std::int64_t>(i);
-    return bit = flat_net(scope, std::string(name) + "[" +
-                                     std::to_string(index) + "]");
   }
 
   /// Resolves a Ref expression to a single flat bit.
   Id resolve_bit(const Module& m, const Expr& e, Scope& scope) {
     GFRE_ASSERT(e.kind == Expr::Kind::Ref, "resolve_bit on non-ref");
+    if (e.index() == kNone && scope.scalar_bit[e.name()] != kNone)
+      return scope.scalar_bit[e.name()];
     const Symbol& sym = lookup(m, e.name(), scope, e.pos, e.index() == kNone);
     if (e.index() != kNone) {
       if (!sym.vector_net)
@@ -1077,12 +1073,12 @@ class Elaborator {
       if (off < 0 || off >= static_cast<std::int64_t>(sym.width))
         fail(e.pos, "index " + std::to_string(idx) + " out of range for " +
                         quoted(m.names.name(e.name())));
-      return bit_of(m, scope, sym, static_cast<std::uint32_t>(off));
+      return scope.bits[sym.bits_begin + static_cast<std::uint32_t>(off)];
     }
     if (sym.width != 1)
       fail(e.pos,
            "vector net " + quoted(m.names.name(e.name())) + " used as a scalar");
-    return bit_of(m, scope, sym, 0);
+    return scope.bits[sym.bits_begin];
   }
 
   /// The flat net holding constant 0/1, creating its node on first use.
@@ -1202,8 +1198,8 @@ class Elaborator {
       return;
     }
     const Symbol& sym = lookup(m, e.name(), scope, e.pos, /*implicit_ok=*/true);
-    for (std::uint32_t i = 0; i < sym.width; ++i)
-      out.push_back(bit_of(m, scope, sym, i));
+    const auto bits = scope.bits.begin() + sym.bits_begin;
+    out.insert(out.end(), bits, bits + sym.width);
   }
 
   void elaborate_primitive(const Module& m, const Instance& inst,

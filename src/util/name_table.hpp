@@ -7,12 +7,11 @@
 // capacity, which lets a rehash move slots without touching (or hashing)
 // the names again; the full 32-bit tag filters string compares.
 //
-// The netlist (its nets are the ids) and the frontend's GraphBuilder (one
-// id per source name) both sit on this table, so a name is hashed and
-// copied once on its way from the parser to the Netlist.  NameViewTable
-// holds views instead of copies, for a parser whose source text outlives
-// the table (the Verilog reader's per-module names).  Not thread-safe for
-// writers; concurrent readers are fine.
+// The netlist (its nets are the ids), the frontend's GraphBuilder (one
+// id per source name) and each Verilog module's scope names all sit on
+// this table, so a name is hashed and copied once on its way from the
+// parser to the Netlist.  Not thread-safe for writers; concurrent readers
+// are fine.
 #pragma once
 
 #include <cstdint>
@@ -25,8 +24,7 @@
 
 namespace gfre::util {
 
-template <typename Name>
-class BasicNameTable {
+class NameTable {
  public:
   using Id = std::uint32_t;
   static constexpr Id kNone = ~Id{0};
@@ -63,7 +61,7 @@ class BasicNameTable {
     }
   }
 
-  const Name& name(Id id) const { return names_[id]; }
+  const std::string& name(Id id) const { return names_[id]; }
   std::size_t size() const { return names_.size(); }
 
   /// Room for `names` names without growing.
@@ -98,11 +96,8 @@ class BasicNameTable {
     }
   }
 
-  std::vector<Name> names_;  ///< names_[id]
-  std::vector<Slot> slots_;  ///< power-of-two capacity, or empty
+  std::vector<std::string> names_;  ///< names_[id]
+  std::vector<Slot> slots_;         ///< power-of-two capacity, or empty
 };
-
-using NameTable = BasicNameTable<std::string>;
-using NameViewTable = BasicNameTable<std::string_view>;
 
 }  // namespace gfre::util
