@@ -21,9 +21,9 @@
 //
 // Timings cover extraction only, matching the paper's "runtime"
 // definition; every reading's ANFs are asserted bit-identical before any
-// number is reported.  Results also land in BENCH_rewriting.json (strategy
-// x family x m -> seconds, peak_terms, and for the crypto tier the host's
-// SIMD level and peak RSS) for the CI perf-trend artifact;
+// number is reported.  Results also land in BENCH_rewriting.json (library
+// strategy x family x m -> seconds, peak_terms, and for the crypto tier
+// the host's SIMD level and peak RSS) for the CI perf-trend artifact;
 // GFRE_BENCH_JSON overrides the path.
 #include <algorithm>
 #include <cmath>
@@ -172,13 +172,14 @@ int main() {
         montgomery_index_speedups.push_back(index_speedup);
       }
 
+      // The naive scan is a reference local to this bench, not a library
+      // strategy: it checks the ANFs and feeds the table, not the record.
       const struct {
         const char* name;
         double seconds;
         const core::ExtractionResult* result;
       } rows[] = {{"packed", packed_seconds, &packed_result},
-                  {"indexed", indexed_seconds, &indexed_result},
-                  {"naive", naive_seconds, &naive_result}};
+                  {"indexed", indexed_seconds, &indexed_result}};
       for (const auto& row : rows) {
         report.add_record()
             .add("strategy", row.name)
