@@ -103,8 +103,7 @@ void GraphBuilder::instantiate(nl::Netlist& netlist) {
         const std::uint32_t dep_idx = node_of_[arg];
         if (dep_idx == kNone) {
           if (is_input_[arg]) continue;  // inputs pre-created
-          fail_at(node.pos,
-                  "undefined net '" + names_.name(arg) + "'");
+          fail_at(node.pos, "undefined net '" + names_.name(arg) + "'");
         }
         Node& dep = nodes_[dep_idx];
         if (dep.state == 2) continue;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -204,10 +203,14 @@ std::string_view Lexer::take_while(Pred pred) {
 
 namespace {
 
-constexpr bool is_alpha(char c) { return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'); }
+constexpr bool is_alpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
 constexpr bool is_digit(char c) { return c >= '0' && c <= '9'; }
 constexpr bool is_alnum(char c) { return is_alpha(c) || is_digit(c); }
-char to_lower(char c) { return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c; }
+char to_lower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 bool ident_start(char c) { return is_alpha(c) || c == '_'; }
 
@@ -379,7 +382,8 @@ void Lexer::lex_token() {
         else if (d >= 'a' && d <= 'f') digit = static_cast<unsigned>(d - 'a') + 10;
         else fail_at(t.pos, std::string("bad digit '") + d + "' in literal");
         if (digit >= radix)
-          fail_at(t.pos, std::string("digit '") + d + "' out of range for base");
+          fail_at(t.pos,
+                  std::string("digit '") + d + "' out of range for base");
         v = v * radix + digit;
         spelled += d;
       }

@@ -412,7 +412,8 @@ class VerilogParser {
     const std::uint32_t range = parse_optional_range();
     for (;;) {
       Token name = lexer_.expect_ident("net name");
-      module_->decls.push_back(NetDecl{dir, range, intern(name.text), name.pos});
+      module_->decls.push_back(
+          NetDecl{dir, range, intern(name.text), name.pos});
       if (lexer_.accept_punct(';')) break;
       lexer_.expect_punct(',');
     }
@@ -1067,7 +1068,8 @@ class Elaborator {
     const Symbol& sym = lookup(m, e.name(), scope, e.pos, e.index() == kNone);
     if (e.index() != kNone) {
       if (!sym.vector_net)
-        fail(e.pos, "bit-select on scalar net " + quoted(m.names.name(e.name())));
+        fail(e.pos,
+             "bit-select on scalar net " + quoted(m.names.name(e.name())));
       std::int64_t idx = eval_int(m.selects[e.index()], scope.params);
       std::int64_t off = idx - sym.lsb;
       if (off < 0 || off >= static_cast<std::int64_t>(sym.width))
@@ -1076,8 +1078,8 @@ class Elaborator {
       return scope.bits[sym.bits_begin + static_cast<std::uint32_t>(off)];
     }
     if (sym.width != 1)
-      fail(e.pos,
-           "vector net " + quoted(m.names.name(e.name())) + " used as a scalar");
+      fail(e.pos, "vector net " + quoted(m.names.name(e.name())) +
+                      " used as a scalar");
     return scope.bits[sym.bits_begin];
   }
 

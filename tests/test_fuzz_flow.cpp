@@ -43,8 +43,8 @@ using gf2::Poly;
 
 /// Per-mutation seed count.  2 in the tier-1 suite; the nightly CI long
 /// run dials it up through the environment (GFRE_FUZZ_ITERS=25 multiplies
-/// the whole wall without touching the code).
-/// A malformed value throws InvalidArgument naming the variable.
+/// the whole wall without touching the code); a malformed value throws
+/// InvalidArgument naming the variable.
 std::uint64_t fuzz_iters() {
   return env_uint("GFRE_FUZZ_ITERS", 2, 1, 1000000);
 }
