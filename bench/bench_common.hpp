@@ -14,14 +14,10 @@
 // memory blows up), not absolute seconds on different silicon.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/flow.hpp"
@@ -88,37 +84,6 @@ inline unsigned bench_count(const char* name, unsigned fallback) {
   } catch (const Error& e) {
     usage_error(e.what());
   }
-}
-
-/// Effective cores: how many of `k` equal spin threads run in parallel,
-/// as k x (one thread's time) / (k threads' time), median of three trials.
-/// A record from a host with few real cores must be read against it.
-inline double effective_cores(unsigned k) {
-  const auto spin = [] {
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (int i = 0; i < 40'000'000; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-    }
-    return x;
-  };
-  std::atomic<std::uint64_t> sink{0};
-  const auto timed = [&](unsigned threads) {
-    Timer timer;
-    std::vector<std::thread> pool;
-    for (unsigned t = 0; t < threads; ++t)
-      pool.emplace_back([&] { sink += spin(); });
-    for (auto& thread : pool) thread.join();
-    return timer.seconds();
-  };
-  std::vector<double> ratios;
-  for (int trial = 0; trial < 3; ++trial) {
-    const double one = timed(1);
-    ratios.push_back(k * one / timed(k));
-  }
-  std::sort(ratios.begin(), ratios.end());
-  return ratios[1];
 }
 
 inline void print_header(const std::string& what) {

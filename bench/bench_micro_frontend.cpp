@@ -32,6 +32,7 @@
 #include "netlist/io_blif.hpp"
 #include "netlist/io_eqn.hpp"
 #include "netlist/io_verilog.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -53,7 +54,7 @@ struct Dialect {
 int main() {
   bench::print_header("Micro: netlist parse cost per dialect");
   const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
-  const double cores = bench::effective_cores(nproc);
+  const double cores = effective_cores(nproc);
   const char* simd = anf::simd::to_string(anf::simd::active_level());
   std::printf("host: nproc %u, effective cores %.2f, simd %s\n\n", nproc,
               cores, simd);

@@ -160,6 +160,9 @@ class Lexer {
  public:
   Lexer(std::string_view text, std::string file, LexSyntax syntax,
         IncludeResolver resolver = nullptr);
+  /// A temporary would die before the tokens that view it.
+  Lexer(std::string&& text, std::string file, LexSyntax syntax,
+        IncludeResolver resolver = nullptr) = delete;
 
   /// The current token (initially the first one).
   const Token& peek() const { return tok_; }

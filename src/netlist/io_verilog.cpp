@@ -805,9 +805,6 @@ struct Scope {
   std::string prefix;  ///< "" at top, "u0." below
   ParamEnv params;
   std::vector<std::uint32_t> symbol_of;  ///< per module name id, or kNone
-  /// Per module name id: the flat net of a scalar symbol, or kNone.  The
-  /// one lookup a plain net reference takes.
-  std::vector<Id> scalar_bit;
   std::vector<Symbol> symbols;
   std::vector<Id> bits;  ///< every symbol's bits, as GraphBuilder ids
 };
@@ -912,7 +909,6 @@ class Elaborator {
   /// Binds `name` to `sym`, whose bits are already in Scope::bits.
   std::uint32_t add_symbol(Scope& scope, Id name, const Symbol& sym) {
     scope.symbol_of[name] = static_cast<std::uint32_t>(scope.symbols.size());
-    if (!sym.vector_net) scope.scalar_bit[name] = scope.bits[sym.bits_begin];
     scope.symbols.push_back(sym);
     return scope.symbol_of[name];
   }
@@ -947,7 +943,6 @@ class Elaborator {
 
     // Net declarations.
     scope.symbol_of.assign(m.names.size(), kNone);
-    scope.scalar_bit.assign(m.names.size(), kNone);
     scope.symbols.reserve(m.decls.size());
     scope.bits.reserve(m.decls.size());
     for (const NetDecl& d : m.decls) {
@@ -1063,8 +1058,6 @@ class Elaborator {
   /// Resolves a Ref expression to a single flat bit.
   Id resolve_bit(const Module& m, const Expr& e, Scope& scope) {
     GFRE_ASSERT(e.kind == Expr::Kind::Ref, "resolve_bit on non-ref");
-    if (e.index() == kNone && scope.scalar_bit[e.name()] != kNone)
-      return scope.scalar_bit[e.name()];
     const Symbol& sym = lookup(m, e.name(), scope, e.pos, e.index() == kNone);
     if (e.index() != kNone) {
       if (!sym.vector_net)

@@ -1,8 +1,11 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 
 #include "util/error.hpp"
+#include "util/timer.hpp"
 
 namespace gfre {
 
@@ -65,6 +68,34 @@ void ThreadPool::parallel_for(std::size_t count,
 std::size_t ThreadPool::default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return std::max(1u, hw);
+}
+
+double effective_cores(unsigned k) {
+  const auto spin = [] {
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 40'000'000; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  std::atomic<std::uint64_t> sink{0};
+  const auto timed = [&](unsigned threads) {
+    Timer timer;
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < threads; ++t)
+      pool.emplace_back([&] { sink += spin(); });
+    for (auto& thread : pool) thread.join();
+    return timer.seconds();
+  };
+  std::vector<double> ratios;
+  for (int trial = 0; trial < 3; ++trial) {
+    const double one = timed(1);
+    ratios.push_back(k * one / timed(k));
+  }
+  std::sort(ratios.begin(), ratios.end());
+  return ratios[1];
 }
 
 }  // namespace gfre

@@ -65,4 +65,10 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Effective cores: how many of `k` equal spin threads run in parallel,
+/// as k x (one thread's time) / (k threads' time), median of three trials.
+/// A timing recorded on a host with few real cores must be read against
+/// it.
+double effective_cores(unsigned k);
+
 }  // namespace gfre
